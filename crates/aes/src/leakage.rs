@@ -7,8 +7,8 @@
 //! sum of Hamming weights (and optionally Hamming distances) over the
 //! architectural round states of one encryption.
 //!
-//! The weights in [`LeakageWeights::default`] are calibrated (DESIGN.md §6)
-//! so that the paper's three CPA hypothesis models behave as measured:
+//! The weights in [`LeakageWeights::default`] are calibrated so that the
+//! paper's three CPA hypothesis models behave as measured:
 //!
 //! * `Rd0-HW` (state after the initial AddRoundKey) — strongest leakage,
 //!   fastest guessing-entropy convergence (Fig. 1);
@@ -82,7 +82,7 @@ impl Default for LeakageWeights {
 
 impl LeakageWeights {
     /// A flat profile where every recorded state leaks equally — useful in
-    /// ablation studies of the calibration in DESIGN.md §6.
+    /// ablation studies of the default calibration (see the module docs).
     #[must_use]
     pub fn uniform(weight: f64) -> Self {
         Self {

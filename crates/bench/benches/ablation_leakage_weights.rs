@@ -1,4 +1,4 @@
-//! Ablation: the leakage-weight calibration of DESIGN.md §6.
+//! Ablation: the default leakage-weight calibration of `psc_aes::leakage`.
 //!
 //! Generates synthetic noisy channels under three weight profiles and runs
 //! Rd0-HW CPA on each. Alongside the timing numbers, the bench prints the

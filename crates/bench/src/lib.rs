@@ -8,7 +8,8 @@
 //!   `PSC_TRACES` / `PSC_TVLA_TRACES` / `PSC_SHARDS` / `PSC_SEED`.
 //! * **criterion benches** (`benches/`) — kernel throughput benches (AES,
 //!   TVLA/CPA accumulation, SMC window simulation) plus scaled end-to-end
-//!   experiment benches and the ablation studies backing DESIGN.md §6.
+//!   experiment benches and the `ablation_leakage_weights` study of the
+//!   default leakage-weight calibration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,7 +43,7 @@ pub fn banner(artifact: &str) -> String {
     format!(
         "=== apple-power-sca reproduction: {artifact} ===\n\
          (simulated M1/M2 substrate; shapes — not absolute values — are the\n\
-         reproduction target; see EXPERIMENTS.md)\n"
+         reproduction target)\n"
     )
 }
 

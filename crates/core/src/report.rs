@@ -16,14 +16,14 @@
 //! deterministic, and whether it prints is a front-end concern
 //! (`--metrics`/`--progress` on the CLI; never in a served report).
 
-use crate::session::{AdaptiveTvlaReport, ShardHealth, StreamingCpaReport, StreamingTvlaReport};
+use crate::session::{
+    AdaptiveTvlaReport, Campaign, Session, ShardAnalysis, ShardHealth, StreamingCpaReport,
+    StreamingTvlaReport,
+};
 use crate::spec::{AnalysisMode, CampaignSpec};
-use psc_sca::checkpoint::PayloadWriter;
 use psc_sca::model::PowerModel;
 use psc_sca::rank::{guessing_entropy, recovery_tally};
 use psc_telemetry::metrics::{names, MetricsReport};
-
-use crate::session::{Campaign, Session};
 
 /// The pre-run header lines `psc campaign` prints before streaming: the
 /// mode/target/budget line, plus the fleet fan-out note when `fleet`.
@@ -210,47 +210,24 @@ pub fn cpa_model() -> Box<dyn PowerModel> {
 /// flags compose freely without touching the rendered bytes.
 #[must_use]
 pub fn run_session(session: Session<'_>, spec: &CampaignSpec) -> CampaignOutcome {
-    match spec.mode {
+    let (body, analysis, stopped_early, rounds, metrics) = match spec.mode {
         AnalysisMode::Tvla => {
             let report = session.tvla();
-            let mut w = PayloadWriter::new();
-            report.tvla.encode_state(&mut w);
-            CampaignOutcome {
-                mode: spec.mode,
-                body: render_tvla_body(&report),
-                analysis: w.into_payload(),
-                stopped_early: false,
-                rounds: 0,
-                metrics: report.metrics,
-            }
+            (render_tvla_body(&report), report.tvla.state_payload(), false, 0, report.metrics)
         }
         AnalysisMode::Adaptive => {
             let out = session.adaptive_tvla();
-            let mut w = PayloadWriter::new();
-            out.report.tvla.encode_state(&mut w);
-            CampaignOutcome {
-                mode: spec.mode,
-                body: render_adaptive_body(&out, spec.traces),
-                analysis: w.into_payload(),
-                stopped_early: out.stopped_early,
-                rounds: out.rounds_collected as u64,
-                metrics: out.report.metrics,
-            }
+            let body = render_adaptive_body(&out, spec.traces);
+            let rounds = out.rounds_collected as u64;
+            (body, out.report.tvla.state_payload(), out.stopped_early, rounds, out.report.metrics)
         }
         AnalysisMode::Cpa => {
             let report = session.cpa(cpa_model);
-            let mut w = PayloadWriter::new();
-            report.cpa.encode_state(&mut w);
-            CampaignOutcome {
-                mode: spec.mode,
-                body: render_cpa_body(&report, &spec.key),
-                analysis: w.into_payload(),
-                stopped_early: false,
-                rounds: 0,
-                metrics: report.metrics,
-            }
+            let body = render_cpa_body(&report, &spec.key);
+            (body, report.cpa.state_payload(), false, 0, report.metrics)
         }
-    }
+    };
+    CampaignOutcome { mode: spec.mode, body, analysis, stopped_early, rounds, metrics }
 }
 
 /// [`Campaign::from_spec`] + [`run_session`] in one call — the shape

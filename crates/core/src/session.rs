@@ -544,6 +544,30 @@ pub struct StreamingTvlaReport {
 }
 
 impl StreamingTvlaReport {
+    /// The report of a merged TVLA campaign over `keys`. Every shard
+    /// failing leaves empty accumulators.
+    #[must_use]
+    pub fn from_merged(
+        merged: Merged<StreamingTvla>,
+        keys: Vec<SmcKey>,
+        metrics: Option<MetricsReport>,
+    ) -> Self {
+        Self {
+            tvla: merged.analysis.unwrap_or_default(),
+            monitor: merged.monitor,
+            bus: merged.bus,
+            keys,
+            shards: merged.health.len(),
+            io_errors: merged.recorder.io_errors,
+            recorder_error: merged.recorder.last_error,
+            shard_cadence: merged.shard_cadence,
+            metrics,
+            health: merged.health,
+            warnings: merged.warnings,
+            io_retries: merged.recorder.io_retries,
+        }
+    }
+
     /// The 3×3 matrix for one requested SMC key (`None` if every read on
     /// it was denied).
     #[must_use]
@@ -608,21 +632,40 @@ pub struct StreamingCpaReport {
 }
 
 impl StreamingCpaReport {
+    /// The report of a merged CPA campaign over `keys`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when every shard failed — there is no accumulator to rank.
+    #[must_use]
+    pub fn from_merged(
+        merged: Merged<StreamingCpa>,
+        keys: Vec<SmcKey>,
+        metrics: Option<MetricsReport>,
+    ) -> Self {
+        let warnings = merged.warnings;
+        Self {
+            cpa: merged
+                .analysis
+                .unwrap_or_else(|| panic!("every shard failed — nothing to merge: {warnings:?}")),
+            monitor: merged.monitor,
+            bus: merged.bus,
+            keys,
+            shards: merged.health.len(),
+            io_errors: merged.recorder.io_errors,
+            recorder_error: merged.recorder.last_error,
+            shard_cadence: merged.shard_cadence,
+            metrics,
+            health: merged.health,
+            warnings,
+            io_retries: merged.recorder.io_retries,
+        }
+    }
+
     /// Key-byte ranks for `key`'s channel against `true_round_key`.
     #[must_use]
     pub fn ranks(&self, key: SmcKey, true_round_key: &[u8; 16]) -> Option<[usize; 16]> {
         self.cpa.cpa(ChannelId::Smc(key)).map(|c| c.ranks(true_round_key))
-    }
-}
-
-fn add_stats(a: ChannelStats, b: ChannelStats) -> ChannelStats {
-    ChannelStats {
-        accepted: a.accepted + b.accepted,
-        dropped: a.dropped + b.dropped,
-        delivered: a.delivered + b.delivered,
-        // Peak occupancy merges like a gauge: the fleet's peak is the
-        // worst shard's peak, not a sum over independent buses.
-        high_water: a.high_water.max(b.high_water),
     }
 }
 
@@ -639,14 +682,14 @@ fn emit_warnings(warnings: &[String]) {
 }
 
 /// Fold one shard's end-of-run condition into the campaign warnings:
-/// non-`Ok` health, event blocks shed on the bus (data loss) and recycle
-/// blocks shed on the return lane (allocation churn only).
+/// non-`Ok` health and event blocks shed on the bus (data loss). Blocks
+/// shed on the recycle lane are allocation churn, not loss — they only
+/// count in the `recycle.dropped` metric.
 fn shard_warnings(
     warnings: &mut Vec<String>,
     shard: usize,
     health: &ShardHealth,
-    stats: &ChannelStats,
-    recycle_dropped: u64,
+    bus: &ChannelStats,
 ) {
     match health {
         ShardHealth::Ok => {}
@@ -658,15 +701,8 @@ fn shard_warnings(
                 .push(format!("shard {shard} failed and was excluded from the merge: {reason}"));
         }
     }
-    if stats.dropped > 0 {
-        warnings
-            .push(format!("shard {shard}: {} event block(s) dropped on the bus", stats.dropped));
-    }
-    if recycle_dropped > 0 {
-        warnings.push(format!(
-            "shard {shard}: {recycle_dropped} recycle block(s) dropped \
-             (allocation churn, no data loss)"
-        ));
+    if bus.dropped > 0 {
+        warnings.push(format!("shard {shard}: {} event block(s) dropped on the bus", bus.dropped));
     }
 }
 
@@ -765,11 +801,15 @@ impl Observability {
 /// What the shard recorders left behind (recorders live and die inside
 /// the consume closure; their failure accounting must escape it).
 #[derive(Debug, Clone, Default)]
-struct RecorderTally {
-    io_errors: u64,
-    io_retries: u64,
-    traces: u64,
-    last_error: Option<String>,
+pub struct RecorderTally {
+    /// Write failures that exhausted their retries (lost batches).
+    pub io_errors: u64,
+    /// Transient write failures that succeeded on retry.
+    pub io_retries: u64,
+    /// Traces recorded.
+    pub traces: u64,
+    /// The most recent write failure, if any.
+    pub last_error: Option<String>,
 }
 
 impl RecorderTally {
@@ -803,17 +843,194 @@ struct ShardRun<T> {
     out: Option<T>,
     stats: ChannelStats,
     produced: usize,
-    recycle_dropped: u64,
     health: ShardHealth,
 }
 
+/// An analysis accumulator that a shard can checkpoint and [`merge`] can
+/// fold: the streaming TVLA and CPA processors.
+pub trait ShardAnalysis: Processor + Send + Sized {
+    /// Sum-merge another shard's accumulator into this one.
+    #[must_use]
+    fn merge(self, other: Self) -> Self;
+
+    /// Serialize the accumulator state into a checkpoint payload.
+    fn encode_state(&self, w: &mut PayloadWriter);
+
+    /// Restore state written by [`ShardAnalysis::encode_state`] into an
+    /// accumulator built from the same campaign configuration.
+    ///
+    /// # Errors
+    ///
+    /// Truncated or mismatched state comes back as [`CheckpointError`].
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError>;
+
+    /// The encoded state as one standalone payload.
+    fn state_payload(&self) -> Vec<u8> {
+        let mut w = PayloadWriter::new();
+        self.encode_state(&mut w);
+        w.into_payload()
+    }
+
+    /// Restore from one standalone payload, which must be consumed
+    /// exactly.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardAnalysis::restore_state`], plus trailing bytes.
+    fn restore_payload(&mut self, payload: &[u8]) -> Result<(), CheckpointError> {
+        let mut r = PayloadReader::new(payload);
+        self.restore_state(&mut r)?;
+        r.finish()
+    }
+}
+
+impl ShardAnalysis for StreamingTvla {
+    fn merge(self, other: Self) -> Self {
+        self.merged(other)
+    }
+
+    fn encode_state(&self, w: &mut PayloadWriter) {
+        StreamingTvla::encode_state(self, w);
+    }
+
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        StreamingTvla::restore_state(self, r)
+    }
+}
+
+impl ShardAnalysis for StreamingCpa {
+    fn merge(self, other: Self) -> Self {
+        self.merged(other).expect("shards share one model factory")
+    }
+
+    fn encode_state(&self, w: &mut PayloadWriter) {
+        StreamingCpa::encode_state(self, w);
+    }
+
+    fn restore_state(&mut self, r: &mut PayloadReader<'_>) -> Result<(), CheckpointError> {
+        StreamingCpa::restore_state(self, r)
+    }
+}
+
+/// One shard's final outcome, whether it ran on a local thread or in a
+/// fleet worker process: what [`merge`] folds.
+#[derive(Debug)]
+pub struct ShardFinal<A> {
+    /// The shard's accumulator; `None` when its consumer panicked (the
+    /// state is lost and nothing of it merges).
+    pub analysis: Option<A>,
+    /// The shard's cadence monitor.
+    pub monitor: ThrottleMonitor,
+    /// The shard's bus counters, in [`EventBlock`]s.
+    pub bus: ChannelStats,
+    /// The shard's recorder accounting.
+    pub recorder: RecorderTally,
+    /// Units the shard's source produced (adaptive: trace rounds).
+    pub produced: usize,
+    /// The shard's health.
+    pub health: ShardHealth,
+}
+
+impl<A> ShardFinal<A> {
+    /// A shard whose analysis state is lost: it keeps its bus accounting
+    /// and health, and contributes nothing else to the merge.
+    #[must_use]
+    pub fn failed(monitor_interval_s: f64, bus: ChannelStats, health: ShardHealth) -> Self {
+        Self {
+            analysis: None,
+            monitor: ThrottleMonitor::new(monitor_interval_s, MONITOR_DEPTH),
+            bus,
+            recorder: RecorderTally::default(),
+            produced: 0,
+            health,
+        }
+    }
+}
+
+/// Every shard's [`ShardFinal`] folded into one by [`merge`].
+#[derive(Debug)]
+pub struct Merged<A> {
+    /// The sum-merged accumulators; `None` when every shard failed.
+    pub analysis: Option<A>,
+    /// Merged cadence totals (checkpoints stay per shard — shard
+    /// timelines are independent).
+    pub monitor: ThrottleMonitor,
+    /// Bus counters merged with [`ChannelStats::merged`].
+    pub bus: ChannelStats,
+    /// Recorder accounting summed over shards.
+    pub recorder: RecorderTally,
+    /// Units produced, summed over the shards that merged.
+    pub produced: usize,
+    /// Each shard's retained [`CadenceCheckpoint`]s, in shard order.
+    pub shard_cadence: Vec<Vec<CadenceCheckpoint>>,
+    /// Per-shard health, in shard order.
+    pub health: Vec<ShardHealth>,
+    /// Degradation warnings (shard health, bus drops, recorder
+    /// failures), not yet printed.
+    pub warnings: Vec<String>,
+}
+
+/// The one merge fold: combine shard outcomes in shard order. Every
+/// campaign report — in-process TVLA, adaptive and CPA, and the
+/// distributed fleet aggregator's — is built from its result, so a
+/// fault-free fleet merge is byte-identical to the in-process run and a
+/// degraded one equals the fault-free run restricted to the survivors.
+#[must_use]
+pub fn merge<A: ShardAnalysis>(shards: Vec<ShardFinal<A>>, monitor_interval_s: f64) -> Merged<A> {
+    let mut merged: Merged<A> = Merged {
+        analysis: None,
+        monitor: ThrottleMonitor::new(monitor_interval_s, MONITOR_DEPTH),
+        bus: ChannelStats::default(),
+        recorder: RecorderTally::default(),
+        produced: 0,
+        shard_cadence: Vec::with_capacity(shards.len()),
+        health: Vec::with_capacity(shards.len()),
+        warnings: Vec::new(),
+    };
+    for (i, shard) in shards.into_iter().enumerate() {
+        shard_warnings(&mut merged.warnings, i, &shard.health, &shard.bus);
+        merged.analysis = match (merged.analysis.take(), shard.analysis) {
+            (Some(acc), Some(analysis)) => Some(acc.merge(analysis)),
+            (acc, analysis) => acc.or(analysis),
+        };
+        merged.shard_cadence.push(shard.monitor.checkpoints().copied().collect());
+        merged.monitor = merged.monitor.merged_totals(&shard.monitor);
+        merged.bus = merged.bus.merged(shard.bus);
+        merged.recorder.absorb(shard.recorder);
+        merged.produced += shard.produced;
+        merged.health.push(shard.health);
+    }
+    recorder_warning(&mut merged.warnings, &merged.recorder);
+    merged
+}
+
+/// The one monitor-restore decoder: a campaign-shaped cadence monitor
+/// rebuilt from the rest of `r` (`ThrottleMonitor::encode_state` bytes).
+///
+/// # Errors
+///
+/// Truncated, oversized or trailing state comes back as
+/// [`CheckpointError`].
+pub fn restore_monitor(
+    interval_s: f64,
+    r: &mut PayloadReader<'_>,
+) -> Result<ThrottleMonitor, CheckpointError> {
+    let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
+    monitor.restore_state(r)?;
+    r.finish()?;
+    Ok(monitor)
+}
+
 /// Everything a consume closure may consult beyond the bus itself: the
-/// shard's metric instruments, its degradation/offset journal and the
-/// armed fault plan. All `None`/absent on the zero-cost default paths.
+/// shard's metric instruments, its degradation/offset journal, the armed
+/// fault plan, the campaign stop flag and the shard's carried checkpoint.
+/// All `None`/absent on the zero-cost default paths.
 pub(crate) struct ConsumeCtx<'a> {
     ins: Option<&'a ShardInstruments>,
     log: Option<&'a ShardLog>,
     faults: Option<&'a Arc<FaultState>>,
+    stop: &'a AtomicBool,
+    carried: Option<&'a ShardResume>,
 }
 
 /// Dispatch one block to a fixed-interval monitor exactly as
@@ -864,29 +1081,29 @@ fn monitor_payload(monitor: &ThrottleMonitor, next_poll_s: Option<f64>) -> Vec<u
 /// statistics.
 fn restore_consumer(
     carried: Option<&ShardResume>,
-    restore_analysis: impl FnOnce(&mut PayloadReader<'_>) -> Result<(), CheckpointError>,
+    analysis: &mut impl ShardAnalysis,
     monitor: &mut ThrottleMonitor,
     next_poll_s: &mut Option<f64>,
     recorders: &mut [ShardRecorder],
+    monitor_interval_s: f64,
 ) -> (u64, u64) {
     let Some(c) = carried else { return (0, 0) };
     if let Some(bytes) = &c.analysis {
-        let mut r = PayloadReader::new(bytes);
-        restore_analysis(&mut r)
-            .and_then(|()| r.finish())
+        analysis
+            .restore_payload(bytes)
             .unwrap_or_else(|e| panic!("corrupt checkpoint analysis state: {e}"));
     }
     if let Some(bytes) = &c.monitor {
         let mut r = PayloadReader::new(bytes);
-        let mut inner = |r: &mut PayloadReader<'_>| -> Result<(), CheckpointError> {
+        let mut inner = || -> Result<(), CheckpointError> {
             *next_poll_s = match r.get_u8()? {
                 0 => None,
                 _ => Some(r.get_f64()?),
             };
-            monitor.restore_state(r)?;
-            r.finish()
+            *monitor = restore_monitor(monitor_interval_s, &mut r)?;
+            Ok(())
         };
-        inner(&mut r).unwrap_or_else(|e| panic!("corrupt checkpoint monitor state: {e}"));
+        inner().unwrap_or_else(|e| panic!("corrupt checkpoint monitor state: {e}"));
     }
     if let Some(bytes) = &c.recorders {
         let states = checkpoint::decode_recorders(bytes)
@@ -1148,7 +1365,10 @@ impl Session<'_> {
     /// batches back and forth without allocating. When observability is
     /// on, the producer side records source-fill latency, block/obs
     /// throughput and recycle hit/miss into the shard's registry, and
-    /// stage spans land in the spec's tracer.
+    /// stage spans land in the spec's tracer (under a campaign span named
+    /// `span_name`); the progress thread, when requested, runs for the
+    /// fan-out's duration. The observability state comes back with the
+    /// shard runs so the caller can report metrics after its merge.
     ///
     /// This is also the campaign's fault boundary. A panic anywhere in a
     /// shard — producer, consumer, or the worker scaffolding itself — is
@@ -1161,18 +1381,23 @@ impl Session<'_> {
     /// totals match the uninterrupted run's.
     fn fan_out<T, FS, FC>(
         &self,
-        obs: Option<&Observability>,
-        stop: &AtomicBool,
+        span_name: &'static str,
+        expected_obs: u64,
         resume: Option<&[ShardResume]>,
-        faults: Option<&Arc<FaultState>>,
         schedule_for: FS,
         consume: FC,
-    ) -> Vec<ShardRun<T>>
+    ) -> (Vec<ShardRun<T>>, Option<Observability>)
     where
         T: Send,
         FS: Fn(usize) -> Schedule + Sync,
         FC: Fn(usize, &Receiver<EventBlock>, &Sender<EventBlock>, &ConsumeCtx<'_>) -> T + Sync,
     {
+        let faults = self.spec.faults.map(FaultPlan::armed);
+        let obs = self.observability();
+        let progress = self.progress(obs.as_ref(), expected_obs);
+        let span = self.campaign_span(span_name);
+        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
+        let (obs_ref, faults, stop) = (obs.as_ref(), faults.as_ref(), stop.as_ref());
         let source = self.source.as_ref();
         let spec = &self.spec;
         let tracer = self.spec.tracer.as_deref();
@@ -1182,7 +1407,8 @@ impl Session<'_> {
             let (tx, rx) = channel(spec.tune.bus_capacity, OverflowPolicy::Block);
             let (recycle_tx, recycle_rx) = channel(RECYCLE_CAPACITY, OverflowPolicy::DropNewest);
             let schedule = schedule_for(i);
-            let ins = obs.map(|o| ShardInstruments::new(&o.registries[i]));
+            let carried = resume.map(|r| &r[i]);
+            let ins = obs_ref.map(|o| ShardInstruments::new(&o.registries[i]));
             let log = ShardLog::new(track_offsets);
             let log_ref = &log;
             let produce_tid = 1 + 2 * i as u64;
@@ -1201,8 +1427,8 @@ impl Session<'_> {
                         keys: &spec.keys,
                         mitigation: spec.mitigation,
                         schedule,
-                        skip_obs: resume.map_or(0, |r| r[i].consumed_obs),
-                        resume_rng_offset: resume.and_then(|r| r[i].rng_offset),
+                        skip_obs: carried.map_or(0, |c| c.consumed_obs),
+                        resume_rng_offset: carried.and_then(|c| c.rng_offset),
                         retry: spec.retry,
                         faults: plan_faults,
                         log: Some(log_ref),
@@ -1246,7 +1472,7 @@ impl Session<'_> {
                         stop,
                     )
                 });
-                let ctx = ConsumeCtx { ins: ins_ref, log: Some(log_ref), faults };
+                let ctx = ConsumeCtx { ins: ins_ref, log: Some(log_ref), faults, stop, carried };
                 let caught = {
                     let _span =
                         tracer.map(|t| t.span(format!("shard{i}/consume"), "stage", consume_tid));
@@ -1259,12 +1485,12 @@ impl Session<'_> {
                     while rx.recv().is_some() {}
                 }
                 let mut stats = rx.stats();
-                if let Some(r) = resume {
+                if let Some(c) = carried {
                     // Credit the resumed prefix: those blocks were
                     // consumed before the interrupt and never cross this
                     // run's bus.
-                    stats.accepted += r[i].blocks;
-                    stats.delivered += r[i].blocks;
+                    stats.accepted += c.blocks;
+                    stats.delivered += c.blocks;
                 }
                 let produced = match producer.join() {
                     Ok(produced) => produced,
@@ -1273,9 +1499,8 @@ impl Session<'_> {
                         0
                     }
                 };
-                let recycle_stats = recycle_tx.stats();
                 if let Some(ins) = ins_ref {
-                    ins.finish(stats, recycle_stats, produced);
+                    ins.finish(stats, recycle_tx.stats(), produced);
                 }
                 let notes = log.take_notes();
                 let (out, health) = match caught {
@@ -1296,23 +1521,28 @@ impl Session<'_> {
                         (None, ShardHealth::Failed { reason })
                     }
                 };
-                ShardRun { out, stats, produced, recycle_dropped: recycle_stats.dropped, health }
+                ShardRun { out, stats, produced, health }
             })
         });
-        runs.into_iter()
+        drop(span);
+        if let Some(progress) = progress {
+            progress.finish();
+        }
+        let runs = runs
+            .into_iter()
             .enumerate()
             .map(|(i, run)| {
                 run.unwrap_or_else(|message| ShardRun {
                     out: None,
                     stats: ChannelStats::default(),
                     produced: 0,
-                    recycle_dropped: 0,
                     health: ShardHealth::Failed {
                         reason: format!("shard {i} worker panicked: {message}"),
                     },
                 })
             })
-            .collect()
+            .collect();
+        (runs, obs)
     }
 
     /// Drain a shard's block bus through `pump`, returning each processed
@@ -1339,39 +1569,36 @@ impl Session<'_> {
         pump.finish();
     }
 
-    /// The shared streaming-consumer loop behind [`Session::tvla`] and
-    /// [`Session::cpa`]: restore from a carried checkpoint, drain the bus
-    /// through the analysis + poll-grid monitor + recorders (the same
-    /// dispatch order and poll semantics as [`Pump::dispatch_block`]),
-    /// inject consumer panics when armed, and periodically snapshot the
-    /// full consumer state.
+    /// The shared streaming-consumer loop behind every streaming
+    /// analysis: restore from a carried checkpoint, drain the bus through
+    /// the analysis + poll-grid monitor + recorders (the same dispatch
+    /// order and poll semantics as [`Pump::dispatch_block`]), inject
+    /// consumer panics when armed, raise the stop flag when `early_stop`
+    /// says so after a block, and snapshot the full consumer state through
+    /// `writer` when checkpointing.
     #[allow(clippy::too_many_arguments)]
-    fn consume_streaming<A: Processor>(
+    fn consume_streaming<A: ShardAnalysis>(
         &self,
         shard: usize,
         rx: &Receiver<EventBlock>,
         recycle: &Sender<EventBlock>,
         ctx: &ConsumeCtx<'_>,
-        stop: &AtomicBool,
-        kind: u8,
-        fingerprint: u64,
-        resume: Option<&[ShardResume]>,
-        analysis: &mut A,
-        restore: impl FnOnce(&mut A, &mut PayloadReader<'_>) -> Result<(), CheckpointError>,
-        encode: impl Fn(&A, &mut PayloadWriter),
-    ) -> (ThrottleMonitor, RecorderTally) {
-        let mut monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
+        mut writer: Option<CheckpointWriter<'_>>,
+        mut analysis: A,
+        early_stop: &impl Fn(&A) -> bool,
+    ) -> (A, ThrottleMonitor, RecorderTally) {
+        let interval_s = self.spec.monitor_interval_s;
+        let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
         let mut recorders = self.recorders(shard, ctx.faults);
         let mut next_poll_s = None;
-        let carried = resume.map(|r| &r[shard]);
         let (base_obs, base_blocks) = restore_consumer(
-            carried,
-            |r| restore(analysis, r),
+            ctx.carried,
+            &mut analysis,
             &mut monitor,
             &mut next_poll_s,
             &mut recorders,
+            interval_s,
         );
-        let mut writer = self.checkpoint_writer(kind, fingerprint, shard);
         let mut local_blocks = 0u64;
         let mut local_obs = 0u64;
         while let Some(block) = rx.recv() {
@@ -1382,36 +1609,32 @@ impl Session<'_> {
             }
             let t0 = ctx.ins.map(|_| Instant::now());
             analysis.on_block(&block);
-            dispatch_with_poll(
-                &mut monitor,
-                &mut next_poll_s,
-                self.spec.monitor_interval_s,
-                &block,
-            );
+            dispatch_with_poll(&mut monitor, &mut next_poll_s, interval_s, &block);
             for recorder in &mut recorders {
                 recorder.on_block(&block);
             }
             if let (Some(ins), Some(t0)) = (ctx.ins, t0) {
                 ins.consume_ns.record(elapsed_ns(t0));
             }
+            if early_stop(&analysis) {
+                ctx.stop.store(true, Ordering::Relaxed);
+            }
             local_blocks += 1;
             local_obs += block.len() as u64;
             let _ = recycle.send(block);
             if let Some(w) = writer.as_mut() {
                 if w.due(local_blocks) {
-                    let mut aw = PayloadWriter::new();
-                    encode(analysis, &mut aw);
                     w.write(
                         base_obs + local_obs,
                         base_blocks + local_blocks,
                         ctx.log.and_then(|l| l.offset_after(local_blocks - 1)),
-                        aw.into_payload(),
+                        analysis.state_payload(),
                         monitor_payload(&monitor, next_poll_s),
                         &mut recorders,
                         ctx.log,
                     );
                     if self.spec.halt_after == Some(w.writes) {
-                        stop.store(true, Ordering::Relaxed);
+                        ctx.stop.store(true, Ordering::Relaxed);
                     }
                 }
             }
@@ -1427,55 +1650,55 @@ impl Session<'_> {
             ins.recorder_io_errors.add(tally.io_errors);
             ins.recorder_traces.add(tally.traces);
         }
-        (monitor, tally)
+        (analysis, monitor, tally)
     }
 
-    fn merge_tvla(
+    /// The streaming campaign behind [`Session::tvla`],
+    /// [`Session::adaptive_tvla`] and [`Session::cpa`]: fan `schedule_for`
+    /// out over the shards, drain each into a fresh `new_analysis()`
+    /// through [`Self::consume_streaming`], and [`merge`] the shard
+    /// outcomes (echoing the warnings to stderr). `early_stop` is checked
+    /// after every consumed block; `true` stops the campaign.
+    fn stream<A: ShardAnalysis>(
         &self,
-        results: Vec<ShardRun<(StreamingTvla, ThrottleMonitor, RecorderTally)>>,
-    ) -> (StreamingTvlaReport, usize) {
-        let mut merged_tvla = StreamingTvla::new();
-        let mut merged_monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-        let mut bus = ChannelStats::default();
-        let mut produced_total = 0usize;
-        let mut shard_cadence = Vec::with_capacity(results.len());
-        let mut tally_total = RecorderTally::default();
-        let mut health = Vec::with_capacity(results.len());
-        let mut warnings = Vec::new();
-        for (i, run) in results.into_iter().enumerate() {
-            shard_warnings(&mut warnings, i, &run.health, &run.stats, run.recycle_dropped);
-            match run.out {
-                Some((tvla, monitor, tally)) => {
-                    merged_tvla = merged_tvla.merged(tvla);
-                    shard_cadence.push(monitor.checkpoints().copied().collect());
-                    merged_monitor = merged_monitor.merged_totals(&monitor);
-                    produced_total += run.produced;
-                    tally_total.absorb(tally);
-                }
-                None => shard_cadence.push(Vec::new()),
-            }
-            bus = add_stats(bus, run.stats);
-            health.push(run.health);
-        }
-        recorder_warning(&mut warnings, &tally_total);
-        emit_warnings(&warnings);
-        (
-            StreamingTvlaReport {
-                tvla: merged_tvla,
-                monitor: merged_monitor,
-                bus,
-                keys: self.spec.keys.clone(),
-                shards: self.shards,
-                io_errors: tally_total.io_errors,
-                io_retries: tally_total.io_retries,
-                recorder_error: tally_total.last_error,
-                shard_cadence,
-                metrics: None,
-                health,
-                warnings,
+        kind: u8,
+        span_name: &'static str,
+        expected_obs: u64,
+        schedule_for: impl Fn(usize) -> Schedule + Sync,
+        new_analysis: impl Fn() -> A + Sync,
+        early_stop: impl Fn(&A) -> bool + Sync,
+    ) -> (Merged<A>, Option<MetricsReport>) {
+        let fingerprint =
+            checkpoint::fingerprint(&self.spec, kind, self.source.fingerprint_tag(), self.shards);
+        let resume = self.load_resume(kind, fingerprint);
+        let (runs, obs) = self.fan_out(
+            span_name,
+            expected_obs,
+            resume.as_deref(),
+            schedule_for,
+            |i, rx, recycle, ctx| {
+                let writer = self.checkpoint_writer(kind, fingerprint, i);
+                self.consume_streaming(i, rx, recycle, ctx, writer, new_analysis(), &early_stop)
             },
-            produced_total,
-        )
+        );
+        let interval_s = self.spec.monitor_interval_s;
+        let shards = runs
+            .into_iter()
+            .map(|run| match run.out {
+                Some((analysis, monitor, recorder)) => ShardFinal {
+                    analysis: Some(analysis),
+                    monitor,
+                    bus: run.stats,
+                    recorder,
+                    produced: run.produced,
+                    health: run.health,
+                },
+                None => ShardFinal::failed(interval_s, run.stats, run.health),
+            })
+            .collect();
+        let merged = merge(shards, interval_s);
+        emit_warnings(&merged.warnings);
+        (merged, obs.map(|o| o.report(self.shards)))
     }
 
     /// Run a streaming TVLA campaign: each shard collects its slice of
@@ -1488,50 +1711,16 @@ impl Session<'_> {
     #[must_use]
     pub fn tvla(self) -> StreamingTvlaReport {
         let counts = split_counts(self.spec.traces, self.shards);
-        let fingerprint = checkpoint::fingerprint(
-            &self.spec,
+        let (merged, metrics) = self.stream(
             KIND_TVLA,
-            self.source.fingerprint_tag(),
-            self.shards,
-        );
-        let resume = self.load_resume(KIND_TVLA, fingerprint);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        // One TVLA trace is 2 passes × 3 classes observations.
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64 * 6);
-        let span = self.campaign_span("campaign/tvla");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
-            resume.as_deref(),
-            faults.as_ref(),
+            "campaign/tvla",
+            // One TVLA trace is 2 passes × 3 classes observations.
+            self.spec.traces as u64 * 6,
             |i| Schedule::Tvla { traces_per_class: counts[i] },
-            |i, rx, recycle, ctx| {
-                let mut tvla = StreamingTvla::new();
-                let (monitor, tally) = self.consume_streaming(
-                    i,
-                    rx,
-                    recycle,
-                    ctx,
-                    &stop,
-                    KIND_TVLA,
-                    fingerprint,
-                    resume.as_deref(),
-                    &mut tvla,
-                    |a, r| a.restore_state(r),
-                    |a, w| a.encode_state(w),
-                );
-                (tvla, monitor, tally)
-            },
+            StreamingTvla::new,
+            |_| false,
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-        let mut report = self.merge_tvla(results).0;
-        report.metrics = obs.map(|o| o.report(self.shards));
-        report
+        StreamingTvlaReport::from_merged(merged, self.spec.keys.clone(), metrics)
     }
 
     /// Run a TVLA campaign that **stops at the threshold crossing**:
@@ -1550,113 +1739,36 @@ impl Session<'_> {
         let early =
             self.spec.early_stop.expect("adaptive campaigns need Campaign::early_stop(watch)");
         let counts = split_counts(self.spec.traces, self.shards);
-        let fingerprint = checkpoint::fingerprint(
-            &self.spec,
-            KIND_ADAPTIVE,
-            self.source.fingerprint_tag(),
-            self.shards,
-        );
-        let resume = self.load_resume(KIND_ADAPTIVE, fingerprint);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        // Rounds-to-stop is bounded by the budget: one round is 6 obs.
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64 * 6);
-        let span = self.campaign_span("campaign/adaptive_tvla");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        // Leakage detection and a halt_after interrupt both raise `stop`,
-        // but only the former is an *early stop* in the report's sense.
+        // Leakage detection and a halt_after interrupt both raise the stop
+        // flag, but only the former is an *early stop* in the report's
+        // sense.
         let leaked = AtomicBool::new(false);
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
-            resume.as_deref(),
-            faults.as_ref(),
+        let (merged, metrics) = self.stream(
+            KIND_ADAPTIVE,
+            "campaign/adaptive_tvla",
+            // Rounds-to-stop is bounded by the budget: one round is 6 obs.
+            self.spec.traces as u64 * 6,
             |i| Schedule::AdaptiveRounds { max_rounds: counts[i] },
-            |i, rx, recycle, ctx| {
+            || {
                 let mut tvla = StreamingTvla::new();
                 tvla.watch(ChannelId::Smc(early.watch), early.min_per_side);
-                let mut monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-                let mut recorders = self.recorders(i, ctx.faults);
-                let mut next_poll_s = None;
-                let (base_obs, base_blocks) = restore_consumer(
-                    resume.as_deref().map(|r| &r[i]),
-                    |r| tvla.restore_state(r),
-                    &mut monitor,
-                    &mut next_poll_s,
-                    &mut recorders,
-                );
-                let mut writer = self.checkpoint_writer(KIND_ADAPTIVE, fingerprint, i);
-                let mut local_blocks = 0u64;
-                let mut local_obs = 0u64;
-                // A manual pump loop: the consumer must keep draining
-                // (Block backpressure) while checking the early-stop
-                // signal at every block boundary — blocks end on whole
-                // observations (one adaptive round per block), so the
-                // check granularity matches the producers' between-round
-                // stop polling.
-                while let Some(block) = rx.recv() {
-                    if let Some(f) = ctx.faults {
-                        if f.take_consumer_panic(i, local_blocks) {
-                            panic!("injected consumer panic at shard {i}, block {local_blocks}");
-                        }
-                    }
-                    let t0 = ctx.ins.map(|_| Instant::now());
-                    tvla.on_block(&block);
-                    monitor.on_block(&block);
-                    for recorder in &mut recorders {
-                        recorder.on_block(&block);
-                    }
-                    if let (Some(ins), Some(t0)) = (ctx.ins, t0) {
-                        ins.consume_ns.record(elapsed_ns(t0));
-                    }
-                    if !leaked.load(Ordering::Relaxed) && tvla.leakage_detected() {
-                        leaked.store(true, Ordering::Relaxed);
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    local_blocks += 1;
-                    local_obs += block.len() as u64;
-                    let _ = recycle.send(block);
-                    if let Some(w) = writer.as_mut() {
-                        if w.due(local_blocks) {
-                            let mut aw = PayloadWriter::new();
-                            tvla.encode_state(&mut aw);
-                            w.write(
-                                base_obs + local_obs,
-                                base_blocks + local_blocks,
-                                ctx.log.and_then(|l| l.offset_after(local_blocks - 1)),
-                                aw.into_payload(),
-                                monitor_payload(&monitor, next_poll_s),
-                                &mut recorders,
-                                ctx.log,
-                            );
-                            if self.spec.halt_after == Some(w.writes) {
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-                tvla.on_finish();
-                monitor.on_finish();
-                for recorder in &mut recorders {
-                    recorder.on_finish();
-                }
-                let tally = RecorderTally::of(&recorders);
-                if let Some(ins) = ctx.ins {
-                    ins.denied_reads.add(monitor.denied_reads());
-                    ins.recorder_io_errors.add(tally.io_errors);
-                    ins.recorder_traces.add(tally.traces);
-                }
-                (tvla, monitor, tally)
+                tvla
+            },
+            // Checked at every block boundary — blocks end on whole
+            // observations (one adaptive round per block), so the check
+            // granularity matches the producers' between-round stop
+            // polling. The first shard to cross raises the flag.
+            |tvla| {
+                !leaked.load(Ordering::Relaxed)
+                    && tvla.leakage_detected()
+                    && !leaked.swap(true, Ordering::Relaxed)
             },
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
+        AdaptiveTvlaReport {
+            rounds_collected: merged.produced,
+            report: StreamingTvlaReport::from_merged(merged, self.spec.keys.clone(), metrics),
+            stopped_early: leaked.into_inner(),
         }
-        let stopped_early = leaked.load(Ordering::Relaxed);
-        let (mut report, rounds_collected) = self.merge_tvla(results);
-        report.metrics = obs.map(|o| o.report(self.shards));
-        AdaptiveTvlaReport { report, stopped_early, rounds_collected }
     }
 
     /// Run a streaming known-plaintext CPA campaign: each shard
@@ -1666,106 +1778,33 @@ impl Session<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if the resolved shard count is zero or `model_factory`
-    /// yields inconsistent models across calls.
+    /// Panics if the resolved shard count is zero, every shard fails, or
+    /// `model_factory` yields inconsistent models across calls.
     #[must_use]
     pub fn cpa(
         self,
         model_factory: impl Fn() -> Box<dyn PowerModel> + Send + Sync,
     ) -> StreamingCpaReport {
         let counts = split_counts(self.spec.traces, self.shards);
-        let model_factory = &model_factory;
         // One guess-major hypothesis table for the whole campaign: shards
         // (and channels within a shard) clone the Arc instead of
         // recomputing the 512 KB table per accumulator.
         let hyp_table = Arc::new(HypTable::for_model(model_factory().as_ref()));
-        let fingerprint = checkpoint::fingerprint(
-            &self.spec,
+        let (merged, metrics) = self.stream(
             KIND_CPA,
-            self.source.fingerprint_tag(),
-            self.shards,
-        );
-        let resume = self.load_resume(KIND_CPA, fingerprint);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64);
-        let span = self.campaign_span("campaign/cpa");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
-            resume.as_deref(),
-            faults.as_ref(),
+            "campaign/cpa",
+            self.spec.traces as u64,
             |i| Schedule::KnownPlaintext { traces: counts[i] },
-            |i, rx, recycle, ctx| {
-                let mut cpa = StreamingCpa::with_table(
-                    self.spec.keys.iter().map(|&k| ChannelId::Smc(k)),
-                    model_factory,
-                    Arc::clone(&hyp_table),
-                );
+            || {
+                let channels = self.spec.keys.iter().map(|&k| ChannelId::Smc(k));
+                let mut cpa =
+                    StreamingCpa::with_table(channels, &model_factory, Arc::clone(&hyp_table));
                 cpa.set_unroll(self.spec.tune.cpa_unroll);
-                let (monitor, tally) = self.consume_streaming(
-                    i,
-                    rx,
-                    recycle,
-                    ctx,
-                    &stop,
-                    KIND_CPA,
-                    fingerprint,
-                    resume.as_deref(),
-                    &mut cpa,
-                    |a, r| a.restore_state(r),
-                    |a, w| a.encode_state(w),
-                );
-                (cpa, monitor, tally)
+                cpa
             },
+            |_| false,
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-
-        let mut merged_cpa: Option<StreamingCpa> = None;
-        let mut merged_monitor = ThrottleMonitor::new(self.spec.monitor_interval_s, MONITOR_DEPTH);
-        let mut bus = ChannelStats::default();
-        let mut shard_cadence = Vec::new();
-        let mut tally_total = RecorderTally::default();
-        let mut health = Vec::with_capacity(results.len());
-        let mut warnings = Vec::new();
-        for (i, run) in results.into_iter().enumerate() {
-            shard_warnings(&mut warnings, i, &run.health, &run.stats, run.recycle_dropped);
-            match run.out {
-                Some((cpa, monitor, tally)) => {
-                    merged_cpa = Some(match merged_cpa.take() {
-                        None => cpa,
-                        Some(acc) => acc.merged(cpa).expect("shards share one model factory"),
-                    });
-                    shard_cadence.push(monitor.checkpoints().copied().collect());
-                    merged_monitor = merged_monitor.merged_totals(&monitor);
-                    tally_total.absorb(tally);
-                }
-                None => shard_cadence.push(Vec::new()),
-            }
-            bus = add_stats(bus, run.stats);
-            health.push(run.health);
-        }
-        recorder_warning(&mut warnings, &tally_total);
-        emit_warnings(&warnings);
-        StreamingCpaReport {
-            cpa: merged_cpa
-                .unwrap_or_else(|| panic!("every shard failed — nothing to merge: {warnings:?}")),
-            monitor: merged_monitor,
-            bus,
-            keys: self.spec.keys.clone(),
-            shards: self.shards,
-            io_errors: tally_total.io_errors,
-            io_retries: tally_total.io_retries,
-            recorder_error: tally_total.last_error,
-            shard_cadence,
-            metrics: obs.map(|o| o.report(self.shards)),
-            health,
-            warnings,
-        }
+        StreamingCpaReport::from_merged(merged, self.spec.keys.clone(), metrics)
     }
 
     /// Collect full known-plaintext trace sets per requested key (the
@@ -1778,16 +1817,10 @@ impl Session<'_> {
     #[must_use]
     pub fn collect(self) -> BTreeMap<SmcKey, TraceSet> {
         let counts = split_counts(self.spec.traces, self.shards);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64);
-        let span = self.campaign_span("campaign/collect");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
+        let (results, _obs) = self.fan_out(
+            "campaign/collect",
+            self.spec.traces as u64,
             None,
-            faults.as_ref(),
             |i| Schedule::KnownPlaintext { traces: counts[i] },
             |i, rx, recycle, ctx| {
                 let mut collector = TraceCollector::with_capacity_hint(counts[i]);
@@ -1797,11 +1830,6 @@ impl Session<'_> {
                 collector
             },
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-
         let mut merged: BTreeMap<SmcKey, TraceSet> = self
             .spec
             .keys
@@ -1830,16 +1858,10 @@ impl Session<'_> {
     #[must_use]
     pub fn tvla_datasets(self) -> TvlaCampaign {
         let counts = split_counts(self.spec.traces, self.shards);
-        let faults = self.spec.faults.map(FaultPlan::armed);
-        let obs = self.observability();
-        let progress = self.progress(obs.as_ref(), self.spec.traces as u64 * 6);
-        let span = self.campaign_span("campaign/tvla_datasets");
-        let stop = self.spec.stop.clone().unwrap_or_else(|| Arc::new(AtomicBool::new(false)));
-        let results = self.fan_out(
-            obs.as_ref(),
-            &stop,
+        let (results, _obs) = self.fan_out(
+            "campaign/tvla_datasets",
+            self.spec.traces as u64 * 6,
             None,
-            faults.as_ref(),
             |i| Schedule::Tvla { traces_per_class: counts[i] },
             |_i, rx, recycle, ctx| {
                 let mut collector = DatasetCollector::new();
@@ -1851,11 +1873,6 @@ impl Session<'_> {
                 (collector, monitor)
             },
         );
-        drop(span);
-        if let Some(progress) = progress {
-            progress.finish();
-        }
-
         let mut campaign = TvlaCampaign::default();
         for &k in &self.spec.keys {
             campaign.per_key.insert(k, TvlaDatasets::default());

@@ -7,11 +7,11 @@
 //! one member's shard (via [`FleetShard`], which re-addresses the
 //! member's slot of the shared [`Fleet`] so the rig seed and device
 //! are bit-identical to the in-process run) and streams its state to a
-//! `psc aggregate` process, which merges the member reports with the
-//! same snapshot-merge folds the in-process session uses. A
-//! fault-free distributed run is therefore **byte-identical** — report
-//! text and encoded analysis state — to the single-process fleet run
-//! of the same spec.
+//! `psc aggregate` process, which decodes each member's final state into
+//! a [`ShardFinal`] and folds them with the in-process session's single
+//! merge, [`psc_core::session::merge`]. A fault-free distributed run is
+//! therefore **byte-identical** — report text and encoded analysis
+//! state — to the single-process fleet run of the same spec.
 //!
 //! ## Worker protocol
 //!
@@ -71,7 +71,8 @@ use crate::proto::{
 };
 use psc_core::report::{self, campaign_banner, render_cpa_body, render_tvla_body};
 use psc_core::session::{
-    Campaign, ShardHealth, StreamingCpaReport, StreamingTvlaReport, MONITOR_INTERVAL_S,
+    merge, restore_monitor, Campaign, Merged, RecorderTally, ShardAnalysis, ShardFinal,
+    ShardHealth, StreamingCpaReport, StreamingTvlaReport, MONITOR_INTERVAL_S,
 };
 use psc_core::source::{Fleet, FleetShard};
 use psc_core::spec::{AnalysisMode, CampaignSpec, MitigationSetting};
@@ -87,12 +88,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Cadence-monitor retention, mirroring the session driver's private
-/// depth: worker-shipped monitor snapshots carry no retained
-/// checkpoints (only totals), so any depth ≥ 0 restores — this keeps
-/// the restored monitors shaped like the in-process ones.
-const MONITOR_DEPTH: usize = 64;
 
 /// Handler-side socket read timeout: short enough that handler threads
 /// notice aggregator completion promptly, well under any sane
@@ -222,8 +217,8 @@ pub struct MemberFinal {
     /// `StreamingTvla::encode_state` / `StreamingCpa::encode_state`
     /// payload for the member's single shard.
     pub analysis: Vec<u8>,
-    /// `ThrottleMonitor::encode_state` payload (totals only — worker
-    /// merge folds retain no cadence checkpoints).
+    /// `ThrottleMonitor::encode_state` payload of the member report's
+    /// merged monitor (totals only, no cadence checkpoints).
     pub monitor: Vec<u8>,
     /// The member's bus counters.
     pub bus: ChannelStats,
@@ -259,6 +254,26 @@ fn get_health(r: &mut PayloadReader<'_>) -> Result<ShardHealth, CheckpointError>
 }
 
 impl MemberFinal {
+    /// Package a single-shard member report's state for the wire.
+    fn of(
+        analysis: &impl ShardAnalysis,
+        monitor: &ThrottleMonitor,
+        bus: ChannelStats,
+        (io_errors, io_retries): (u64, u64),
+        health: &[ShardHealth],
+    ) -> Self {
+        let mut w = PayloadWriter::new();
+        monitor.encode_state(&mut w);
+        Self {
+            analysis: analysis.state_payload(),
+            monitor: w.into_payload(),
+            bus,
+            io_errors,
+            io_retries,
+            health: health[0].clone(),
+        }
+    }
+
     fn encode(&self, w: &mut PayloadWriter) {
         put_blob(w, &self.analysis);
         put_blob(w, &self.monitor);
@@ -528,38 +543,16 @@ pub fn member_state(
     if let Some(interval_s) = spec.monitor {
         campaign = campaign.monitor(interval_s);
     }
+    // One shard per member: the report's merged totals are the member's own.
+    let session = campaign.session();
     Ok(match spec.mode {
         AnalysisMode::Tvla => {
-            let report = campaign.session().tvla();
-            let mut w = PayloadWriter::new();
-            report.tvla.encode_state(&mut w);
-            let analysis = w.into_payload();
-            let mut w = PayloadWriter::new();
-            report.monitor.encode_state(&mut w);
-            MemberFinal {
-                analysis,
-                monitor: w.into_payload(),
-                bus: report.bus,
-                io_errors: report.io_errors,
-                io_retries: report.io_retries,
-                health: report.health[0].clone(),
-            }
+            let r = session.tvla();
+            MemberFinal::of(&r.tvla, &r.monitor, r.bus, (r.io_errors, r.io_retries), &r.health)
         }
         AnalysisMode::Cpa => {
-            let report = campaign.session().cpa(report::cpa_model);
-            let mut w = PayloadWriter::new();
-            report.cpa.encode_state(&mut w);
-            let analysis = w.into_payload();
-            let mut w = PayloadWriter::new();
-            report.monitor.encode_state(&mut w);
-            MemberFinal {
-                analysis,
-                monitor: w.into_payload(),
-                bus: report.bus,
-                io_errors: report.io_errors,
-                io_retries: report.io_retries,
-                health: report.health[0].clone(),
-            }
+            let r = session.cpa(report::cpa_model);
+            MemberFinal::of(&r.cpa, &r.monitor, r.bus, (r.io_errors, r.io_retries), &r.health)
         }
         AnalysisMode::Adaptive => unreachable!("distributed_members refuses adaptive"),
     })
@@ -602,23 +595,6 @@ pub struct MergedFleet {
     pub merge_ns: u64,
 }
 
-fn add_stats(a: ChannelStats, b: ChannelStats) -> ChannelStats {
-    ChannelStats {
-        accepted: a.accepted + b.accepted,
-        dropped: a.dropped + b.dropped,
-        delivered: a.delivered + b.delivered,
-        high_water: a.high_water.max(b.high_water),
-    }
-}
-
-fn restore_monitor(interval_s: f64, payload: &[u8]) -> Result<ThrottleMonitor, CheckpointError> {
-    let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
-    let mut r = PayloadReader::new(payload);
-    monitor.restore_state(&mut r)?;
-    r.finish()?;
-    Ok(monitor)
-}
-
 fn outcome_health(outcome: &MemberOutcome) -> ShardHealth {
     match outcome {
         MemberOutcome::Completed { state, reconnects } => {
@@ -634,11 +610,45 @@ fn outcome_health(outcome: &MemberOutcome) -> ShardHealth {
     }
 }
 
+/// Decode every member's outcome into a [`ShardFinal`] (a failed member
+/// becomes a failed shard) and fold them with the session's [`merge`].
+fn merge_members<A: ShardAnalysis>(
+    spec: &CampaignSpec,
+    outcomes: &[MemberOutcome],
+    fresh: impl Fn() -> A,
+) -> Result<Merged<A>, CheckpointError> {
+    let interval_s = spec.monitor.unwrap_or(MONITOR_INTERVAL_S);
+    let shards = outcomes
+        .iter()
+        .map(|outcome| {
+            let health = outcome_health(outcome);
+            let MemberOutcome::Completed { state, .. } = outcome else {
+                return Ok(ShardFinal::failed(interval_s, ChannelStats::default(), health));
+            };
+            let mut analysis = fresh();
+            analysis.restore_payload(&state.analysis)?;
+            Ok(ShardFinal {
+                analysis: Some(analysis),
+                monitor: restore_monitor(interval_s, &mut PayloadReader::new(&state.monitor))?,
+                bus: state.bus,
+                recorder: RecorderTally {
+                    io_errors: state.io_errors,
+                    io_retries: state.io_retries,
+                    ..RecorderTally::default()
+                },
+                produced: 0,
+                health,
+            })
+        })
+        .collect::<Result<Vec<_>, CheckpointError>>()?;
+    Ok(merge(shards, interval_s))
+}
+
 /// Merge the surviving members of a distributed fleet campaign, in
-/// member order, with exactly the folds the in-process session driver
-/// uses — so a fault-free merge is byte-identical to the in-process
-/// fleet run, and a degraded merge equals the fault-free run
-/// restricted to the surviving members.
+/// member order, with [`psc_core::session::merge`] — the single merge the
+/// in-process session driver uses — so a fault-free merge is
+/// byte-identical to the in-process fleet run, and a degraded merge
+/// equals the fault-free run restricted to the surviving members.
 ///
 /// # Errors
 ///
@@ -656,8 +666,6 @@ pub fn merge_survivors(
             outcomes.len()
         )));
     }
-    let interval_s = spec.monitor.unwrap_or(MONITOR_INTERVAL_S);
-    let health: Vec<ShardHealth> = outcomes.iter().map(outcome_health).collect();
     let survivors =
         outcomes.iter().filter(|o| matches!(o, MemberOutcome::Completed { .. })).count();
     if survivors == 0 {
@@ -665,89 +673,26 @@ pub fn merge_survivors(
     }
 
     let t0 = Instant::now();
-    let mut monitor = ThrottleMonitor::new(interval_s, MONITOR_DEPTH);
-    let mut bus = ChannelStats::default();
-    let mut io_errors = 0u64;
-    let mut io_retries = 0u64;
-    for outcome in outcomes {
-        if let MemberOutcome::Completed { state, .. } = outcome {
-            monitor = monitor.merged_totals(&restore_monitor(interval_s, &state.monitor)?);
-            bus = add_stats(bus, state.bus);
-            io_errors += state.io_errors;
-            io_retries += state.io_retries;
-        }
-    }
-
-    let (text, analysis) = match spec.mode {
+    let (text, analysis, health) = match spec.mode {
         AnalysisMode::Tvla => {
-            let mut merged = StreamingTvla::new();
-            for outcome in outcomes {
-                if let MemberOutcome::Completed { state, .. } = outcome {
-                    let mut tvla = StreamingTvla::new();
-                    let mut r = PayloadReader::new(&state.analysis);
-                    tvla.restore_state(&mut r)?;
-                    r.finish()?;
-                    merged = merged.merged(tvla);
-                }
-            }
-            let report = StreamingTvlaReport {
-                tvla: merged,
-                monitor,
-                bus,
-                keys: spec.keys(),
-                shards: members,
-                io_errors,
-                recorder_error: None,
-                shard_cadence: vec![Vec::new(); members],
-                metrics: None,
-                health: health.clone(),
-                warnings: Vec::new(),
-                io_retries,
-            };
-            let mut w = PayloadWriter::new();
-            report.tvla.encode_state(&mut w);
-            (campaign_banner(spec) + &render_tvla_body(&report), w.into_payload())
+            let merged = merge_members(spec, outcomes, StreamingTvla::new)?;
+            let report = StreamingTvlaReport::from_merged(merged, spec.keys(), None);
+            let text = campaign_banner(spec) + &render_tvla_body(&report);
+            (text, report.tvla.state_payload(), report.health)
         }
         AnalysisMode::Cpa => {
             // One shared hypothesis table, like the in-process driver.
             let table = Arc::new(HypTable::for_model(report::cpa_model().as_ref()));
-            let mut merged: Option<StreamingCpa> = None;
-            for outcome in outcomes {
-                if let MemberOutcome::Completed { state, .. } = outcome {
-                    let mut cpa = StreamingCpa::with_table(
-                        spec.keys().iter().map(|&k| ChannelId::Smc(k)),
-                        report::cpa_model,
-                        Arc::clone(&table),
-                    );
-                    cpa.set_unroll(spec.tune.cpa_unroll);
-                    let mut r = PayloadReader::new(&state.analysis);
-                    cpa.restore_state(&mut r)?;
-                    r.finish()?;
-                    merged = Some(match merged.take() {
-                        None => cpa,
-                        Some(acc) => acc
-                            .merged(cpa)
-                            .map_err(|_| CheckpointError::Corrupt("member channel sets differ"))?,
-                    });
-                }
-            }
-            let report = StreamingCpaReport {
-                cpa: merged.expect("survivors > 0"),
-                monitor,
-                bus,
-                keys: spec.keys(),
-                shards: members,
-                io_errors,
-                recorder_error: None,
-                shard_cadence: vec![Vec::new(); members],
-                metrics: None,
-                health: health.clone(),
-                warnings: Vec::new(),
-                io_retries,
-            };
-            let mut w = PayloadWriter::new();
-            report.cpa.encode_state(&mut w);
-            (campaign_banner(spec) + &render_cpa_body(&report, &spec.key), w.into_payload())
+            let merged = merge_members(spec, outcomes, || {
+                let channels = spec.keys().into_iter().map(ChannelId::Smc);
+                let mut cpa =
+                    StreamingCpa::with_table(channels, report::cpa_model, Arc::clone(&table));
+                cpa.set_unroll(spec.tune.cpa_unroll);
+                cpa
+            })?;
+            let report = StreamingCpaReport::from_merged(merged, spec.keys(), None);
+            let text = campaign_banner(spec) + &render_cpa_body(&report, &spec.key);
+            (text, report.cpa.state_payload(), report.health)
         }
         AnalysisMode::Adaptive => unreachable!("distributed_members refuses adaptive"),
     };

@@ -72,9 +72,9 @@
 //!
 //! The [`fleet`] module runs one fleet campaign across *processes*:
 //! `psc worker` executes a single member's shard and `psc aggregate`
-//! merges the member states with the same proptested snapshot-merge
-//! folds the in-process [`psc_core::source::Fleet`] driver uses, so a
-//! fault-free distributed run is **byte-identical** to the
+//! merges the member states with [`psc_core::session::merge`], the
+//! single merge the in-process [`psc_core::source::Fleet`] driver uses,
+//! so a fault-free distributed run is **byte-identical** to the
 //! single-process fleet run of the same spec.
 //!
 //! * **Partial-frame grammar** — workers periodically ship their

@@ -7,8 +7,7 @@
 //! * [`key`] / [`types`] — 4-character keys and SMC wire types
 //!   (`flt `, `sp78`, …) with byte-exact codecs;
 //! * [`sensors`] — per-device sensor populations with the gain /
-//!   quantization / noise / drift pipeline that decides which keys leak
-//!   (DESIGN.md §6);
+//!   quantization / noise / drift pipeline that decides which keys leak;
 //! * [`firmware`] — the co-processor: integrates SoC windows, publishes at
 //!   the ≈1 s update interval;
 //! * [`iokit`] — the `IOConnectCallStructMethod`-shaped user client with a

@@ -1,7 +1,7 @@
 //! Sensor definitions: what each SMC key measures and how faithfully.
 //!
 //! Every key is a pipeline `quantize(gain · source + drift + noise)`.
-//! The per-key parameters (DESIGN.md §6) are what make the paper's Table 2
+//! The per-key parameters are what make the paper's Table 2
 //! (which keys vary with workload), Table 3/5 (which keys show data
 //! dependence under TVLA) and Table 4 (which keys support CPA) come out:
 //!

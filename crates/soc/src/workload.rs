@@ -204,7 +204,9 @@ impl Workload for FmulStressor {
 /// known-plaintext model) writes it, every victim thread reads it.
 pub type SharedPlaintext = Arc<Mutex<[u8; 16]>>;
 
-/// Calibration of the AES victim's electrical signature. See DESIGN.md §6.
+/// Calibration of the AES victim's electrical signature: how much rail
+/// power one unit of [`psc_aes::leakage`] activity moves, plus the
+/// victim core's own residual noise.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AesSignal {
     /// Watts of rail deviation per unit of leakage activity, per thread.

@@ -152,6 +152,22 @@ pub struct ChannelStats {
     pub high_water: u64,
 }
 
+impl ChannelStats {
+    /// Combine two independent channels' counters (e.g. two shards'
+    /// buses): the flow counters sum.
+    #[must_use]
+    pub fn merged(self, other: Self) -> Self {
+        Self {
+            accepted: self.accepted + other.accepted,
+            dropped: self.dropped + other.dropped,
+            delivered: self.delivered + other.delivered,
+            // Peak occupancy merges like a gauge: the fleet's peak is the
+            // worst shard's peak, not a sum over independent buses.
+            high_water: self.high_water.max(other.high_water),
+        }
+    }
+}
+
 struct ChannelState<T> {
     ring: RingBuffer<T>,
     senders: usize,
@@ -367,6 +383,16 @@ mod tests {
             tx.send(i).unwrap();
         }
         assert_eq!(rx.stats().high_water, 3);
+    }
+
+    #[test]
+    fn merged_stats_sum_flows_and_keep_the_peak() {
+        let a = ChannelStats { accepted: 10, dropped: 1, delivered: 9, high_water: 7 };
+        let b = ChannelStats { accepted: 5, dropped: 2, delivered: 5, high_water: 3 };
+        let m = a.merged(b);
+        assert_eq!(m, ChannelStats { accepted: 15, dropped: 3, delivered: 14, high_water: 7 });
+        assert_eq!(m, b.merged(a), "merge order does not matter");
+        assert_eq!(a.merged(ChannelStats::default()), a, "empty stats are the identity");
     }
 
     #[test]
