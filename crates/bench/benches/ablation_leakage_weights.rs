@@ -11,8 +11,8 @@
 //! * `hd-enabled` — register-overwrite leakage added: Rd10-HD would start
 //!   to work (counterfactual to the paper's datapath).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_aes::leakage::{LeakageModel, LeakageWeights};
+use psc_bench::measure::measure_ns;
 use psc_sca::cpa::Cpa;
 use psc_sca::model::Rd0Hw;
 use psc_sca::rank::guessing_entropy;
@@ -48,7 +48,7 @@ fn ge_of(set: &TraceSet) -> f64 {
     guessing_entropy(&cpa.ranks(&KEY))
 }
 
-fn bench_ablation(c: &mut Criterion) {
+fn main() {
     let n = 5_000;
     let noise = 25.0; // activity units
     let profiles: [(&str, LeakageWeights); 3] = [
@@ -57,20 +57,12 @@ fn bench_ablation(c: &mut Criterion) {
         ("hd-enabled", LeakageWeights::default().with_hd(0.3)),
     ];
 
-    let mut group = c.benchmark_group("ablation_leakage_weights");
-    group.sample_size(10);
     for (name, weights) in profiles {
         let set = synthetic_channel(weights, n, noise);
         eprintln!(
             "[ablation_leakage_weights] {name}: Rd0-HW GE = {:.1} bits at {n} traces",
             ge_of(&set)
         );
-        group.bench_function(name, |b| {
-            b.iter(|| black_box(ge_of(&set)));
-        });
+        measure_ns("ablation_leakage_weights", name, || ge_of(&set));
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_ablation);
-criterion_main!(benches);

@@ -4,7 +4,7 @@
 //! by k divides the trace count by k. The bench prints the CPA guessing
 //! entropy at each multiplier.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::cpa::rd0_ranks;
 use psc_core::{Campaign, Device, VictimKind};
 use psc_sca::rank::guessing_entropy;
@@ -27,10 +27,8 @@ fn run_with_multiplier(multiplier: f64, wall_clock_windows: usize) -> f64 {
     guessing_entropy(&rd0_ranks(&sets[&key("PHPC")], &KEY))
 }
 
-fn bench_interval(c: &mut Criterion) {
+fn main() {
     let budget = 6_000;
-    let mut group = c.benchmark_group("ablation_smc_interval");
-    group.sample_size(10);
     for multiplier in [1.0f64, 2.0, 4.0] {
         let ge = run_with_multiplier(multiplier, budget);
         eprintln!(
@@ -38,12 +36,8 @@ fn bench_interval(c: &mut Criterion) {
              ({} traces in a {budget}-window budget)",
             (budget as f64 / multiplier) as usize
         );
-        group.bench_function(format!("interval_x{multiplier}"), |b| {
-            b.iter(|| black_box(run_with_multiplier(multiplier, 1_200)));
+        measure_ns("ablation_smc_interval", &format!("interval_x{multiplier}"), || {
+            run_with_multiplier(multiplier, 1_200)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_interval);
-criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! This bench installs 1/2/3-thread victims and runs the same CPA budget
 //! against each, printing the resulting guessing entropy.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::cpa::rd0_ranks;
 use psc_core::rig::Device;
 use psc_core::victim::{AesVictim, VictimKind};
@@ -52,20 +52,14 @@ fn collect_with_threads(threads: usize, n: usize) -> TraceSet {
     set
 }
 
-fn bench_threads(c: &mut Criterion) {
+fn main() {
     let n = 4_000;
-    let mut group = c.benchmark_group("ablation_victim_threads");
-    group.sample_size(10);
     for threads in [1usize, 2, 3] {
         let set = collect_with_threads(threads, n);
         let ge = guessing_entropy(&rd0_ranks(&set, &KEY));
         eprintln!("[ablation_victim_threads] {threads} thread(s): GE = {ge:.1} bits at {n} traces");
-        group.bench_function(format!("collect_{threads}_threads"), |b| {
-            b.iter(|| black_box(collect_with_threads(threads, 500)));
+        measure_ns("ablation_victim_threads", &format!("collect_{threads}_threads"), || {
+            collect_with_threads(threads, 500)
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_threads);
-criterion_main!(benches);

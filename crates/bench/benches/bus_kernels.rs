@@ -33,7 +33,6 @@
 //! `PSC_BENCH_OUT`). Runtime scales with `PSC_BENCH_BUDGET_MS` (default
 //! 300 ms per kernel) so CI can smoke it in quick mode.
 
-use criterion::black_box;
 use psc_bench::measure::{
     json_field, json_header, json_string_field, measure_ns, write_artifact,
     CPA_CORRELATIONS_BEFORE_BRANCHFREE_NS,
@@ -50,6 +49,7 @@ use psc_telemetry::metrics::{names, MetricsRegistry};
 use psc_telemetry::processor::Pump;
 use psc_telemetry::processors::StreamingTvla;
 use psc_telemetry::ring::{channel, OverflowPolicy};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 

@@ -1,27 +1,17 @@
 //! End-to-end bench: Figure 1 (GE-curve computation for both victims).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_bench::bench_config;
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::cpa::collect_m2_user_traces;
 use psc_core::experiments::fig1::{curves_for, run_fig1b};
 use psc_smc::key::key;
 
-fn bench_fig1(c: &mut Criterion) {
+fn main() {
     let cfg = bench_config();
-    let mut group = c.benchmark_group("fig1");
-    group.sample_size(10);
-
     let traces = collect_m2_user_traces(&cfg);
     let phpc = &traces[&key("PHPC")];
-    group.bench_function("curves_three_models_user", |b| {
-        b.iter(|| black_box(curves_for(phpc, &cfg.secret_key, "PHPC (M2 user)")));
+    measure_ns("fig1", "curves_three_models_user", || {
+        curves_for(phpc, &cfg.secret_key, "PHPC (M2 user)")
     });
-
-    group.bench_function("fig1b_kernel_end_to_end", |b| {
-        b.iter(|| black_box(run_fig1b(&cfg)));
-    });
-    group.finish();
+    measure_ns("fig1", "fig1b_kernel_end_to_end", || run_fig1b(&cfg));
 }
-
-criterion_group!(benches, bench_fig1);
-criterion_main!(benches);

@@ -12,13 +12,12 @@
 //! as `autotune_*` fields (`PSC_TUNE_REPS` trims the calibration cost in
 //! CI).
 //!
-//! Besides the criterion-style printed lines, the run records its numbers
+//! Besides the printed `median` lines, the run records its numbers
 //! in `BENCH_leakage.json` at the workspace root (override the path with
 //! `PSC_BENCH_OUT`) — the first datapoint of the BENCH trajectory. Runtime
 //! scales with `PSC_BENCH_BUDGET_MS` (default 300 ms per kernel), so CI can
 //! smoke it in quick mode.
 
-use criterion::black_box;
 use psc_aes::leakage::LeakageModel;
 use psc_bench::measure::{
     json_field, json_header, json_string_field, measure_ns, write_artifact,
@@ -28,6 +27,7 @@ use psc_sca::cpa::{Cpa, HypTable};
 use psc_sca::model::Rd0Hw;
 use psc_sca::trace::Trace;
 use psc_soc::workload::{shared_plaintext, AesWorkload};
+use std::hint::black_box;
 use std::sync::Arc;
 
 const BENCH: &str = "leakage_kernels";

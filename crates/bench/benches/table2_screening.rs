@@ -1,22 +1,12 @@
 //! End-to-end bench: Table 2 (idle-vs-busy SMC key screening).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_bench::bench_config;
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::screening::screen_device;
 use psc_core::Device;
 
-fn bench_table2(c: &mut Criterion) {
+fn main() {
     let cfg = bench_config();
-    let mut group = c.benchmark_group("table2");
-    group.sample_size(10);
-    group.bench_function("screen_m2", |b| {
-        b.iter(|| black_box(screen_device(Device::MacbookAirM2, &cfg)));
-    });
-    group.bench_function("screen_m1", |b| {
-        b.iter(|| black_box(screen_device(Device::MacMiniM1, &cfg)));
-    });
-    group.finish();
+    measure_ns("table2", "screen_m2", || screen_device(Device::MacbookAirM2, &cfg));
+    measure_ns("table2", "screen_m1", || screen_device(Device::MacMiniM1, &cfg));
 }
-
-criterion_group!(benches, bench_table2);
-criterion_main!(benches);

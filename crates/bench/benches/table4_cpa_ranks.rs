@@ -1,50 +1,32 @@
 //! End-to-end bench: Table 4 (trace collection + Rd0-HW CPA ranking) at a
 //! reduced trace count, split into its two phases.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_bench::bench_config;
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::cpa::{collect_m2_user_traces, rd0_ranks, run_table4};
+use psc_core::{Campaign, Device, VictimKind};
+use psc_sca::model::Rd0Hw;
 use psc_smc::key::key;
 
-fn bench_table4(c: &mut Criterion) {
+fn main() {
     let cfg = bench_config();
-    let mut group = c.benchmark_group("table4");
-    group.sample_size(10);
-
-    group.bench_function("collect_m2_user_traces", |b| {
-        b.iter(|| black_box(collect_m2_user_traces(&cfg)));
-    });
+    measure_ns("table4", "collect_m2_user_traces", || collect_m2_user_traces(&cfg));
 
     let traces = collect_m2_user_traces(&cfg);
     let phpc = &traces[&key("PHPC")];
-    group.bench_function("rd0_cpa_ranks_phpc", |b| {
-        b.iter(|| black_box(rd0_ranks(phpc, &cfg.secret_key)));
-    });
+    measure_ns("table4", "rd0_cpa_ranks_phpc", || rd0_ranks(phpc, &cfg.secret_key));
 
-    group.bench_function("full_table4", |b| {
-        b.iter(|| black_box(run_table4(&cfg)));
-    });
+    measure_ns("table4", "full_table4", || run_table4(&cfg));
 
     // Sharded streaming variant: collection and incremental CPA fused in
     // one pipeline, no trace vectors retained.
-    group.bench_function("m2_user_cpa_streaming_x4", |b| {
-        b.iter(|| {
-            let report = psc_core::Campaign::live(
-                psc_core::Device::MacbookAirM2,
-                psc_core::VictimKind::UserSpace,
-                cfg.secret_key,
-                cfg.seed,
-            )
+    measure_ns("table4", "m2_user_cpa_streaming_x4", || {
+        Campaign::live(Device::MacbookAirM2, VictimKind::UserSpace, cfg.secret_key, cfg.seed)
             .keys(&[key("PHPC")])
             .traces(cfg.cpa_traces_m2)
             .shards(4)
             .session()
-            .cpa(|| Box::new(psc_sca::model::Rd0Hw));
-            black_box(report.ranks(key("PHPC"), &cfg.secret_key))
-        });
+            .cpa(|| Box::new(Rd0Hw))
+            .ranks(key("PHPC"), &cfg.secret_key)
     });
-    group.finish();
 }
-
-criterion_group!(benches, bench_table4);
-criterion_main!(benches);

@@ -1,19 +1,11 @@
 //! End-to-end bench: Table 5 (TVLA against the kernel-module victim).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_bench::bench_config;
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::tvla::run_table5;
 
-fn bench_table5(c: &mut Criterion) {
+fn main() {
     let mut cfg = bench_config();
     cfg.tvla_traces_per_class = 150;
-    let mut group = c.benchmark_group("table5");
-    group.sample_size(10);
-    group.bench_function("tvla_kernel_150_per_class", |b| {
-        b.iter(|| black_box(run_table5(&cfg)));
-    });
-    group.finish();
+    measure_ns("table5", "tvla_kernel_150_per_class", || run_table5(&cfg));
 }
-
-criterion_group!(benches, bench_table5);
-criterion_main!(benches);

@@ -1,25 +1,15 @@
 //! End-to-end bench: Table 6 (the PCPU and throttling-timing null
 //! channels).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_bench::bench_config;
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::table6::run_table6;
 use psc_core::experiments::throttling::timing_tvla_datasets;
 
-fn bench_table6(c: &mut Criterion) {
+fn main() {
     let mut cfg = bench_config();
     cfg.tvla_traces_per_class = 100;
     cfg.timing_traces_per_class = 15;
-    let mut group = c.benchmark_group("table6");
-    group.sample_size(10);
-    group.bench_function("full_table6", |b| {
-        b.iter(|| black_box(run_table6(&cfg)));
-    });
-    group.bench_function("timing_campaign_only", |b| {
-        b.iter(|| black_box(timing_tvla_datasets(&cfg)));
-    });
-    group.finish();
+    measure_ns("table6", "full_table6", || run_table6(&cfg));
+    measure_ns("table6", "timing_campaign_only", || timing_tvla_datasets(&cfg));
 }
-
-criterion_group!(benches, bench_table6);
-criterion_main!(benches);

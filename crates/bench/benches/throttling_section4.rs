@@ -1,18 +1,10 @@
 //! End-to-end bench: the §4 throttling study (governor + thermal dynamics).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use psc_bench::bench_config;
+use psc_bench::measure::measure_ns;
 use psc_core::experiments::throttling::run_throttling_study;
 
-fn bench_throttling(c: &mut Criterion) {
+fn main() {
     let cfg = bench_config();
-    let mut group = c.benchmark_group("throttling");
-    group.sample_size(10);
-    group.bench_function("section4_study", |b| {
-        b.iter(|| black_box(run_throttling_study(&cfg)));
-    });
-    group.finish();
+    measure_ns("throttling", "section4_study", || run_throttling_study(&cfg));
 }
-
-criterion_group!(benches, bench_throttling);
-criterion_main!(benches);

@@ -23,7 +23,6 @@
 //! `PSC_BENCH_OUT`). Runtime scales with `PSC_BENCH_BUDGET_MS` (default
 //! 300 ms per kernel) so CI can smoke it in quick mode.
 
-use criterion::black_box;
 use psc_aes::leakage::LeakageModel;
 use psc_bench::measure::{json_field, json_header, measure_ns, write_artifact};
 use psc_core::rig::{Device, Rig};
@@ -32,6 +31,7 @@ use psc_smc::key::key;
 use psc_soc::sched::SchedAttrs;
 use psc_soc::workload::{shared_plaintext, AesWorkload};
 use psc_soc::{Soc, SocSpec, WindowBatch};
+use std::hint::black_box;
 use std::sync::Arc;
 
 const BENCH: &str = "window_kernels";

@@ -6,10 +6,12 @@
 //!   paper; each regenerates its artifact at the configured scale and
 //!   prints the same rows/series the paper reports. Scale with
 //!   `PSC_TRACES` / `PSC_TVLA_TRACES` / `PSC_SHARDS` / `PSC_SEED`.
-//! * **criterion benches** (`benches/`) — kernel throughput benches (AES,
+//! * **benches** (`benches/`) — kernel throughput benches (AES,
 //!   TVLA/CPA accumulation, SMC window simulation) plus scaled end-to-end
-//!   experiment benches and the `ablation_leakage_weights` study of the
-//!   default leakage-weight calibration.
+//!   experiment benches and the `ablation_*` studies. Every bench is a
+//!   plain `fn main()` timing its kernels with [`measure::measure_ns`]
+//!   (an estimation pass, then [`measure::SAMPLES`] timed samples,
+//!   reporting the median), scaled by `PSC_BENCH_BUDGET_MS`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +26,7 @@ pub fn repro_config() -> ExperimentConfig {
     ExperimentConfig::from_env()
 }
 
-/// A reduced configuration for criterion experiment benches (keeps
+/// A reduced configuration for the experiment benches (keeps
 /// `cargo bench` minutes, not hours).
 #[must_use]
 pub fn bench_config() -> ExperimentConfig {

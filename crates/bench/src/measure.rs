@@ -1,8 +1,10 @@
-//! Wall-clock micro-measurement helpers shared by the `*_kernels`
-//! benches, so every `BENCH_*.json` artifact is produced with one
-//! methodology (same budget handling, same iteration sizing, same median
-//! estimator) and the numbers stay comparable across benches.
+//! The one wall-clock measurement harness every `cargo bench` target in
+//! this crate uses, so every printed number and every `BENCH_*.json`
+//! artifact is produced with one methodology (same budget handling, same
+//! iteration sizing, same median estimator) and the numbers stay
+//! comparable across benches.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Samples per kernel measurement (the reported value is their median).
@@ -27,11 +29,13 @@ pub fn budget() -> Duration {
 }
 
 /// Median ns/iter over [`SAMPLES`] samples whose iteration counts fit the
-/// per-kernel time budget (one estimation pass picks the count). Prints a
-/// `bench/kernel  median: … ns/iter` line as a side effect.
-pub fn measure_ns(bench: &str, name: &str, mut f: impl FnMut()) -> f64 {
+/// per-kernel time budget (one estimation pass picks the count). Each
+/// call's result passes through [`std::hint::black_box`], so the timed
+/// work cannot be optimized away. Prints a `bench/kernel  median: …
+/// ns/iter` line as a side effect.
+pub fn measure_ns<T>(bench: &str, name: &str, mut f: impl FnMut() -> T) -> f64 {
     let start = Instant::now();
-    f();
+    black_box(f());
     let est = start.elapsed().max(Duration::from_nanos(1));
     let per_sample = budget().as_nanos() / SAMPLES as u128;
     let iters = (per_sample / est.as_nanos()).clamp(1, 4_000_000) as u64;
@@ -40,7 +44,7 @@ pub fn measure_ns(bench: &str, name: &str, mut f: impl FnMut()) -> f64 {
     for _ in 0..SAMPLES {
         let start = Instant::now();
         for _ in 0..iters {
-            f();
+            black_box(f());
         }
         per_iter.push(start.elapsed().as_nanos() as f64 / iters as f64);
     }
@@ -110,6 +114,17 @@ mod tests {
         assert!(content.contains("\"alpha_ns\": 12.346"));
         assert!(!content.contains(",\n}"), "trailing comma must be trimmed");
         let _ = std::fs::remove_file(written);
+    }
+
+    #[test]
+    fn measure_ns_estimates_then_times_every_sample() {
+        let mut calls = 0usize;
+        let median = measure_ns("unit_test", "spin", || {
+            calls += 1;
+            (0..1_000u64).map(black_box).sum::<u64>()
+        });
+        assert!(calls > SAMPLES, "estimation pass plus {SAMPLES} samples, got {calls} calls");
+        assert!(median.is_finite() && median > 0.0, "median {median}");
     }
 
     #[test]

@@ -146,8 +146,8 @@ pub use session::{
     StreamingTvlaReport,
 };
 pub use source::{
-    Fleet, FleetMember, FleetShard, LiveRig, MemberFeed, RemoteFleet, ReplayShard, RigSource,
-    ShardLog, ShardReplay, TraceSource,
+    Fleet, FleetMember, FleetShard, LiveRig, ReplayShard, RigSource, ShardLog, ShardReplay,
+    TraceSource,
 };
 pub use spec::{AnalysisMode, CampaignSpec, MitigationSetting};
 pub use tune::TuneConfig;

@@ -658,95 +658,6 @@ impl TraceSource for FleetShard {
     }
 }
 
-/// One remote member's block feed: produce the member's observation
-/// blocks into the sink (exactly the [`TraceSource::run_shard`]
-/// contract), returning the schedule units produced.
-pub type MemberFeed = Box<
-    dyn Fn(&ShardPlan<'_>, &mut dyn FnMut(&mut EventBlock), &AtomicBool) -> usize + Send + Sync,
->;
-
-/// A fleet whose members live somewhere else: one boxed feed per
-/// member, each pumped on its own shard thread by the session fan-out.
-/// The distributed aggregation layer uses this to drive a [`Campaign`]
-/// over member streams arriving from worker processes; anything that
-/// can produce a member's blocks (a network drain, a decoded spool, a
-/// local [`Fleet`] delegate in tests) plugs in. A feed that panics is
-/// caught at the producer boundary like any shard producer — the
-/// member lands in
-/// [`ShardHealth::Degraded`](crate::session::ShardHealth::Degraded)
-/// (whatever it produced before dying is kept) and the survivors still
-/// merge.
-///
-/// [`Campaign`]: crate::session::Campaign
-pub struct RemoteFleet {
-    feeds: Vec<MemberFeed>,
-}
-
-impl std::fmt::Debug for RemoteFleet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RemoteFleet").field("members", &self.feeds.len()).finish()
-    }
-}
-
-impl Default for RemoteFleet {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl RemoteFleet {
-    /// An empty remote fleet; add members with [`RemoteFleet::member`].
-    #[must_use]
-    pub fn new() -> Self {
-        Self { feeds: Vec::new() }
-    }
-
-    /// Append one member's feed (members run in insertion order as
-    /// shards 0, 1, …).
-    #[must_use]
-    pub fn member(
-        mut self,
-        feed: impl Fn(&ShardPlan<'_>, &mut dyn FnMut(&mut EventBlock), &AtomicBool) -> usize
-            + Send
-            + Sync
-            + 'static,
-    ) -> Self {
-        self.feeds.push(Box::new(feed));
-        self
-    }
-
-    /// Member count.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.feeds.len()
-    }
-
-    /// Whether no members have been added yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.feeds.is_empty()
-    }
-}
-
-impl TraceSource for RemoteFleet {
-    fn shard_count(&self, _requested: usize) -> usize {
-        self.feeds.len()
-    }
-
-    fn run_shard(
-        &self,
-        plan: &ShardPlan<'_>,
-        sink: &mut dyn FnMut(&mut EventBlock),
-        stop: &AtomicBool,
-    ) -> usize {
-        (self.feeds[plan.shard])(plan, sink, stop)
-    }
-
-    fn fingerprint_tag(&self) -> &'static str {
-        "remote-fleet"
-    }
-}
-
 /// One recorded shard: the `.psct` files replayed (in order) as that
 /// shard's event stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

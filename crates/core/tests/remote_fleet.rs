@@ -3,21 +3,16 @@
 //! * [`FleetShard`] — member `i` run as a standalone single-shard
 //!   campaign is bit-identical to shard `i` of the in-process
 //!   [`Fleet`] run (the worker half of distributed aggregation);
-//! * [`RemoteFleet`] — a fleet of per-member feeds merges exactly like
-//!   the in-process fleet when the feeds delegate to it, and a
-//!   panicking feed demotes only its member while the survivors merge.
+//! * a fleet source whose member-1 producer panics demotes only that
+//!   member, and the survivors merge bit-identically to member 0 alone.
 
 use psc_core::source::{ShardPlan, TraceSource};
-use psc_core::{
-    Campaign, Device, Fleet, FleetMember, FleetShard, RemoteFleet, ShardHealth, VictimKind,
-};
+use psc_core::{Campaign, Device, Fleet, FleetMember, FleetShard, ShardHealth, VictimKind};
 use psc_smc::key::key;
 use psc_telemetry::event::ChannelId;
 use psc_telemetry::processors::StreamingTvla;
 use psc_telemetry::{split_counts, EventBlock};
 use std::sync::atomic::AtomicBool;
-
-type Sink<'s> = &'s mut dyn FnMut(&mut EventBlock);
 
 const SECRET: [u8; 16] = *b"remote-fleet-key";
 const SEED: u64 = 0x00D5_C0DE;
@@ -77,36 +72,29 @@ fn fleet_shards_merge_bit_identically_to_the_fleet() {
     assert_tvla_bit_identical(&baseline.tvla, &merged, &[ChannelId::Smc(keys[0])]);
 }
 
-/// A `RemoteFleet` whose feeds delegate to the in-process fleet is the
-/// in-process fleet, bit for bit — the aggregator-side [`Campaign`]
-/// source contract.
-#[test]
-fn remote_fleet_with_delegating_feeds_matches_the_fleet() {
-    let keys = [key("PHPC")];
-    let traces = 40;
-    let baseline = Campaign::fleet(Fleet::new(members(), SECRET, SEED))
-        .keys(&keys)
-        .traces(traces)
-        .session()
-        .tvla();
+/// A two-member fleet whose member 1 producer dies on its first call;
+/// member 0 delegates to the in-process fleet.
+struct HalfDeadFleet(Fleet);
 
-    let mut remote = RemoteFleet::new();
-    for member in 0..members().len() {
-        let fleet = Fleet::new(members(), SECRET, SEED);
-        remote = remote.member(Box::new(
-            move |plan: &ShardPlan<'_>, sink: Sink<'_>, stop: &AtomicBool| {
-                let plan = ShardPlan { shard: member, ..*plan };
-                fleet.run_shard(&plan, sink, stop)
-            },
-        ));
+impl TraceSource for HalfDeadFleet {
+    fn shard_count(&self, _requested: usize) -> usize {
+        2
     }
-    let report = Campaign::from_source(remote).keys(&keys).traces(traces).session().tvla();
-    assert_eq!(report.shards, 2, "one shard per feed");
-    assert!(report.health.iter().all(ShardHealth::is_ok), "clean feeds stay healthy");
-    assert_tvla_bit_identical(&baseline.tvla, &report.tvla, &[ChannelId::Smc(keys[0])]);
+
+    fn run_shard(
+        &self,
+        plan: &ShardPlan<'_>,
+        sink: &mut dyn FnMut(&mut EventBlock),
+        stop: &AtomicBool,
+    ) -> usize {
+        if plan.shard == 1 {
+            panic!("member 1 lost");
+        }
+        self.0.run_shard(plan, sink, stop)
+    }
 }
 
-/// A feed that dies demotes only its member: the fleet completes with
+/// A producer that dies demotes only its member: the fleet completes with
 /// the survivor's data and a demoted health slot instead of aborting.
 /// A producer death is the *Degraded* tier (everything it accumulated
 /// — here nothing — is kept); `Failed` is reserved for consumer-side
@@ -117,15 +105,8 @@ fn a_panicking_feed_fails_its_member_and_survivors_merge() {
     let traces = 40;
     let counts = split_counts(traces, 2);
 
-    let healthy = Fleet::new(members(), SECRET, SEED);
-    let remote = RemoteFleet::new()
-        .member(Box::new(move |plan: &ShardPlan<'_>, sink: Sink<'_>, stop: &AtomicBool| {
-            healthy.run_shard(&ShardPlan { shard: 0, ..*plan }, sink, stop)
-        }))
-        .member(Box::new(|_: &ShardPlan<'_>, _: Sink<'_>, _: &AtomicBool| -> usize {
-            panic!("member 1 lost")
-        }));
-    let report = Campaign::from_source(remote).keys(&keys).traces(traces).session().tvla();
+    let source = HalfDeadFleet(Fleet::new(members(), SECRET, SEED));
+    let report = Campaign::from_source(source).keys(&keys).traces(traces).session().tvla();
 
     assert!(report.health[0].is_ok(), "member 0 survives: {:?}", report.health[0]);
     assert!(

@@ -174,34 +174,17 @@ pub fn write_recording<W: Write>(
     Ok(())
 }
 
-/// Parsed header: label plus trace count, with `buf` advanced to the
-/// first trace record.
-fn read_header(buf: &mut &[u8]) -> Result<(String, usize, u16), CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::Truncated);
+/// Traces per [`RecordingReader::read_chunk`] call when a whole file is
+/// read; bounds the staging buffer whatever count the header declares.
+const WHOLE_FILE_CHUNK: usize = 4096;
+
+/// An early end of input is a truncated payload, not an I/O failure.
+fn eof_is_truncation(e: std::io::Error) -> CodecError {
+    if e.kind() == std::io::ErrorKind::UnexpectedEof {
+        CodecError::Truncated
+    } else {
+        CodecError::Io(e)
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION && version != VERSION_LABELED {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let label_len = buf.get_u16_le() as usize;
-    if buf.remaining() < label_len + 8 {
-        return Err(CodecError::Truncated);
-    }
-    let label =
-        core::str::from_utf8(&buf[..label_len]).map_err(|_| CodecError::BadLabel)?.to_owned();
-    buf.advance(label_len);
-    let count = buf.get_u64_le() as usize;
-    let trace_bytes = if version == VERSION { V1_TRACE_BYTES } else { V2_TRACE_BYTES };
-    if buf.remaining() != count * trace_bytes {
-        return Err(CodecError::Truncated);
-    }
-    Ok((label, count, version))
 }
 
 fn read_one(buf: &mut &[u8], version: u16) -> Result<LabeledTrace, CodecError> {
@@ -230,16 +213,8 @@ fn read_one(buf: &mut &[u8], version: u16) -> Result<LabeledTrace, CodecError> {
 /// # Errors
 ///
 /// See [`CodecError`] for the failure modes.
-pub fn read_trace_set<R: Read>(mut reader: R) -> Result<TraceSet, CodecError> {
-    let mut raw = Vec::new();
-    reader.read_to_end(&mut raw)?;
-    let mut buf = &raw[..];
-    let (label, count, version) = read_header(&mut buf)?;
-    let mut set = TraceSet::with_capacity(label, count);
-    for _ in 0..count {
-        set.push(read_one(&mut buf, version)?.trace);
-    }
-    Ok(set)
+pub fn read_trace_set<R: Read>(reader: R) -> Result<TraceSet, CodecError> {
+    Ok(read_recording(reader)?.into_trace_set())
 }
 
 /// Read only the channel label from a trace-file header (the cheap probe
@@ -249,26 +224,8 @@ pub fn read_trace_set<R: Read>(mut reader: R) -> Result<TraceSet, CodecError> {
 /// # Errors
 ///
 /// See [`CodecError`] for the failure modes.
-pub fn read_label<R: Read>(mut reader: R) -> Result<String, CodecError> {
-    let eof_is_truncation = |e: std::io::Error| {
-        if e.kind() == std::io::ErrorKind::UnexpectedEof {
-            CodecError::Truncated
-        } else {
-            CodecError::Io(e)
-        }
-    };
-    let mut head = [0u8; 8];
-    reader.read_exact(&mut head).map_err(eof_is_truncation)?;
-    if &head[..4] != MAGIC {
-        return Err(CodecError::BadMagic);
-    }
-    let version = u16::from_le_bytes([head[4], head[5]]);
-    if version != VERSION && version != VERSION_LABELED {
-        return Err(CodecError::UnsupportedVersion(version));
-    }
-    let mut label = vec![0u8; u16::from_le_bytes([head[6], head[7]]) as usize];
-    reader.read_exact(&mut label).map_err(eof_is_truncation)?;
-    String::from_utf8(label).map_err(|_| CodecError::BadLabel)
+pub fn read_label<R: Read>(reader: R) -> Result<String, CodecError> {
+    Ok(RecordingReader::new(reader)?.label)
 }
 
 /// Deserialize a recording, keeping the per-trace TVLA labels. Version-1
@@ -277,25 +234,23 @@ pub fn read_label<R: Read>(mut reader: R) -> Result<String, CodecError> {
 /// # Errors
 ///
 /// See [`CodecError`] for the failure modes.
-pub fn read_recording<R: Read>(mut reader: R) -> Result<Recording, CodecError> {
-    let mut raw = Vec::new();
-    reader.read_to_end(&mut raw)?;
-    let mut buf = &raw[..];
-    let (label, count, version) = read_header(&mut buf)?;
-    let mut traces = Vec::with_capacity(count);
-    for _ in 0..count {
-        traces.push(read_one(&mut buf, version)?);
+pub fn read_recording<R: Read>(reader: R) -> Result<Recording, CodecError> {
+    let mut reader = RecordingReader::new(reader)?;
+    let mut traces = Vec::new();
+    let mut chunk = Vec::new();
+    while reader.read_chunk(WHOLE_FILE_CHUNK, &mut chunk)? > 0 {
+        traces.extend_from_slice(&chunk);
     }
-    Ok(Recording { label, traces })
+    Ok(Recording { label: reader.label, traces })
 }
 
 /// Incremental reader over one recording: the header is parsed eagerly,
 /// then traces stream out in caller-sized chunks — memory stays
 /// O(chunk), not O(file), so a single worker can replay million-trace
-/// shard files. Accepts both format versions like [`read_recording`],
-/// applies the same validation (bad magic/version/label/class bytes,
-/// truncation, trailing garbage), and yields the exact same
-/// [`LabeledTrace`] sequence.
+/// shard files. This is the one header parser: [`read_recording`],
+/// [`read_trace_set`] and [`read_label`] are built on it. It accepts both
+/// format versions and rejects bad magic/version/label/class bytes,
+/// truncation and trailing garbage.
 #[derive(Debug)]
 pub struct RecordingReader<R: Read> {
     reader: R,
@@ -313,13 +268,6 @@ impl<R: Read> RecordingReader<R> {
     ///
     /// See [`CodecError`] for the failure modes.
     pub fn new(mut reader: R) -> Result<Self, CodecError> {
-        let eof_is_truncation = |e: std::io::Error| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                CodecError::Truncated
-            } else {
-                CodecError::Io(e)
-            }
-        };
         let mut head = [0u8; 8];
         reader.read_exact(&mut head).map_err(eof_is_truncation)?;
         if &head[..4] != MAGIC {
@@ -353,8 +301,7 @@ impl<R: Read> RecordingReader<R> {
     /// Read up to `max` traces into `out` (cleared first). Returns the
     /// number read; `0` means the recording is exhausted. The final call
     /// also verifies the payload ends exactly at the declared count
-    /// (trailing bytes are [`CodecError::Truncated`], matching the
-    /// whole-file readers).
+    /// (trailing bytes are [`CodecError::Truncated`]).
     ///
     /// # Errors
     ///
@@ -377,13 +324,7 @@ impl<R: Read> RecordingReader<R> {
         }
         let trace_bytes = if self.version == VERSION { V1_TRACE_BYTES } else { V2_TRACE_BYTES };
         self.buf.resize(take * trace_bytes, 0);
-        self.reader.read_exact(&mut self.buf).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                CodecError::Truncated
-            } else {
-                CodecError::Io(e)
-            }
-        })?;
+        self.reader.read_exact(&mut self.buf).map_err(eof_is_truncation)?;
         let mut slice = &self.buf[..];
         out.reserve(take);
         for _ in 0..take {
