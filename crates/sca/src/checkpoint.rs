@@ -303,7 +303,12 @@ impl<'a> PayloadReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+    /// Borrow the next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Truncated`] when fewer than `n` bytes remain.
+    pub fn get_slice(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
         if self.remaining() < n {
             return Err(CheckpointError::Truncated);
         }
@@ -318,7 +323,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// [`CheckpointError::Truncated`] when the payload is exhausted.
     pub fn get_u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
+        Ok(self.get_slice(1)?[0])
     }
 
     /// Read a little-endian `u16`.
@@ -327,7 +332,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// [`CheckpointError::Truncated`] when the payload is exhausted.
     pub fn get_u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("take gave 2 bytes")))
+        Ok(u16::from_le_bytes(self.get_slice(2)?.try_into().expect("get_slice gave 2 bytes")))
     }
 
     /// Read a little-endian `u32`.
@@ -336,7 +341,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// [`CheckpointError::Truncated`] when the payload is exhausted.
     pub fn get_u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("take gave 4 bytes")))
+        Ok(u32::from_le_bytes(self.get_slice(4)?.try_into().expect("get_slice gave 4 bytes")))
     }
 
     /// Read a little-endian `u64`.
@@ -345,7 +350,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// [`CheckpointError::Truncated`] when the payload is exhausted.
     pub fn get_u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("take gave 8 bytes")))
+        Ok(u64::from_le_bytes(self.get_slice(8)?.try_into().expect("get_slice gave 8 bytes")))
     }
 
     /// Read an `f64` bit pattern written by [`PayloadWriter::put_f64`].
@@ -364,7 +369,7 @@ impl<'a> PayloadReader<'a> {
     ///
     /// [`CheckpointError::Truncated`] when the payload is exhausted.
     pub fn get_bytes<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
-        Ok(self.take(N)?.try_into().expect("take gave N bytes"))
+        Ok(self.get_slice(N)?.try_into().expect("get_slice gave N bytes"))
     }
 
     /// Read a `u16`-length-prefixed UTF-8 string.
@@ -375,7 +380,7 @@ impl<'a> PayloadReader<'a> {
     /// [`CheckpointError::Corrupt`] on invalid UTF-8.
     pub fn get_str(&mut self) -> Result<String, CheckpointError> {
         let len = self.get_u16()? as usize;
-        let bytes = self.take(len)?;
+        let bytes = self.get_slice(len)?;
         core::str::from_utf8(bytes)
             .map(str::to_owned)
             .map_err(|_| CheckpointError::Corrupt("string is not valid UTF-8"))

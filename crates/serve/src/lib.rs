@@ -51,9 +51,23 @@
 //! tripped signal sheds the job with a **typed** refusal —
 //! [`proto::RejectReason::Saturated`] or
 //! [`proto::RejectReason::TenantBusy`] — the connection is answered,
-//! never hung up on. Admitted jobs are `Accepted{job_id}`; a waiting
-//! client then receives `Progress` frames (merged metrics snapshots)
-//! at a fixed cadence until the final `Report`.
+//! never hung up on. Admitted jobs are `Accepted{job_id}`.
+//!
+//! ### Waiting and retention
+//!
+//! A waiting client (`Submit` with `wait`, or a `Watch` re-attach) gets
+//! its final frame — `Report`, or `Rejected` for a cancelled or failed
+//! job — as soon as the job settles: every terminal transition wakes
+//! the job's waiters, so report latency is the campaign's own run time,
+//! not a polling period. While the job is still in flight the client
+//! receives one `Progress` frame (a merged metrics snapshot) per
+//! [`server::ServerConfig::progress_interval`].
+//!
+//! The server keeps the most recent [`server::FINISHED_KEPT`] settled
+//! jobs, report included, in completion order, for `Status`, `Cancel`
+//! (`AlreadyDone`) and `Watch` re-attach; older ones are evicted and
+//! answer like unknown ids. A settled job is never evicted while a
+//! connection waiting on it has not yet taken its final frame.
 //!
 //! ### Drain / shutdown lifecycle
 //!
@@ -138,3 +152,15 @@ pub use fleet::{
 };
 pub use proto::{ProtoError, RejectReason, Request, Response};
 pub use server::{Server, ServerConfig, DEFAULT_ADDR};
+
+use std::sync::{LockResult, PoisonError};
+
+/// Take the guard out of a lock or condvar-wait result even when a
+/// thread panicked while holding the mutex. The server's job table and
+/// the pool's queue stay valid between any two statements of their
+/// critical sections (state flips, finished-log evictions, queue pushes
+/// and pops), so one panicking thread must not take every later
+/// request down with it.
+pub(crate) fn unpoison<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}

@@ -8,6 +8,7 @@
 //! that histogram's p99 is one of the admission controller's
 //! saturation signals.
 
+use crate::unpoison;
 use psc_telemetry::metrics::Histogram;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -70,7 +71,7 @@ impl WorkerPool {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return false;
         }
-        let mut queue = self.shared.queue.lock().expect("pool queue poisoned");
+        let mut queue = unpoison(self.shared.queue.lock());
         queue.push_back(PoolJob { id, enqueued: Instant::now(), run: Box::new(run) });
         drop(queue);
         self.shared.available.notify_one();
@@ -80,14 +81,14 @@ impl WorkerPool {
     /// Jobs currently waiting for a worker (excludes running jobs).
     #[must_use]
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().expect("pool queue poisoned").len()
+        unpoison(self.shared.queue.lock()).len()
     }
 
     /// Remove and return everything still queued — the drain path:
     /// the server rejects these jobs instead of running them.
     #[must_use]
     pub fn take_queued(&self) -> Vec<PoolJob> {
-        self.shared.queue.lock().expect("pool queue poisoned").drain(..).collect()
+        unpoison(self.shared.queue.lock()).drain(..).collect()
     }
 
     /// Stop accepting work and wake the workers; each exits once the
@@ -110,7 +111,7 @@ impl WorkerPool {
 fn worker_loop(shared: &Shared) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("pool queue poisoned");
+            let mut queue = unpoison(shared.queue.lock());
             loop {
                 if let Some(job) = queue.pop_front() {
                     break job;
@@ -118,7 +119,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
-                queue = shared.available.wait(queue).expect("pool queue poisoned");
+                queue = unpoison(shared.available.wait(queue));
             }
         };
         let wait_ns = u64::try_from(job.enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);

@@ -449,14 +449,7 @@ pub(crate) fn put_blob(w: &mut PayloadWriter, bytes: &[u8]) {
 
 pub(crate) fn get_blob(r: &mut PayloadReader<'_>) -> Result<Vec<u8>, CheckpointError> {
     let len = r.get_u32()? as usize;
-    if len > r.remaining() {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(r.get_u8()?);
-    }
-    Ok(out)
+    Ok(r.get_slice(len)?.to_vec())
 }
 
 pub(crate) fn get_blob_str(r: &mut PayloadReader<'_>) -> Result<String, CheckpointError> {

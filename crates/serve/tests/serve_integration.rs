@@ -1,15 +1,16 @@
 //! End-to-end service tests: streamed reports must be byte-identical
 //! to inline runs of the same spec (with jobs genuinely concurrent),
-//! admission must shed with a typed rejection, and drain must settle
-//! cleanly.
+//! admission must shed with a typed rejection, waiters must get their
+//! report when the job settles rather than on a progress tick, settled
+//! jobs must age out of the table, and drain must settle cleanly.
 
 use psc_core::report;
 use psc_core::spec::{AnalysisMode, CampaignSpec};
 use psc_core::{Device, TuneConfig};
 use psc_serve::proto::{CancelResult, JobState, RejectReason, Response};
-use psc_serve::server::names;
+use psc_serve::server::{names, FINISHED_KEPT};
 use psc_serve::{submit_and_wait, AdmissionConfig, Client, Server, ServerConfig};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn spec(mode: AnalysisMode, traces: usize, shards: usize) -> CampaignSpec {
     CampaignSpec {
@@ -30,12 +31,20 @@ fn spec(mode: AnalysisMode, traces: usize, shards: usize) -> CampaignSpec {
 }
 
 fn start_server(workers: usize, admission: AdmissionConfig) -> Server {
+    start_server_with_interval(workers, admission, Duration::from_millis(10))
+}
+
+fn start_server_with_interval(
+    workers: usize,
+    admission: AdmissionConfig,
+    progress_interval: Duration,
+) -> Server {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".into(),
         workers,
         admission,
         spool: None,
-        progress_interval: Duration::from_millis(10),
+        progress_interval,
         ..ServerConfig::default()
     })
     .expect("bind an ephemeral port")
@@ -46,6 +55,26 @@ fn expect_report(response: Response) -> (String, Vec<u8>) {
         Response::Report { text, analysis, .. } => (text, analysis),
         other => panic!("expected a report, got {other:?}"),
     }
+}
+
+/// The inline `psc campaign` output of `spec`: report text and encoded
+/// analysis state.
+fn inline_report(spec: &CampaignSpec) -> (String, Vec<u8>) {
+    let inline = report::run_spec(spec);
+    (report::campaign_banner(spec) + &inline.body, inline.analysis)
+}
+
+/// Finish a waited-on exchange after `Accepted`: the final frame and
+/// how many `Progress` frames came before it.
+fn wait_counting_progress(client: &mut Client) -> (Response, usize) {
+    let mut progress = 0;
+    let last = client.wait_for_report(|_| progress += 1).expect("wait for the final frame");
+    (last, progress)
+}
+
+fn drain(addr: std::net::SocketAddr) {
+    let mut drainer = Client::connect(addr).expect("connect");
+    assert!(matches!(drainer.drain().expect("drain"), Response::Drained { .. }));
 }
 
 #[test]
@@ -213,5 +242,90 @@ fn cancel_covers_queued_running_and_finished_jobs() {
 
     let mut drainer = Client::connect(addr).expect("connect");
     assert!(matches!(drainer.drain().expect("drain"), Response::Drained { .. }));
+    server.join();
+}
+
+#[test]
+fn a_settled_job_reports_at_once_and_watch_reattaches_to_it() {
+    // A 30 s progress cadence: under polling the report could not
+    // arrive before the first tick.
+    let interval = Duration::from_secs(30);
+    let server = start_server_with_interval(1, AdmissionConfig::default(), interval);
+    let addr = server.addr();
+    let small = spec(AnalysisMode::Tvla, 40, 1);
+    let inline = inline_report(&small);
+
+    let started = Instant::now();
+    let mut client = Client::connect(addr).expect("connect");
+    let Response::Accepted { job } = client.submit("t", &small.render(), true).expect("submit")
+    else {
+        panic!("expected Accepted")
+    };
+    let (last, progress) = wait_counting_progress(&mut client);
+    let waited = started.elapsed();
+    assert_eq!(expect_report(last), inline, "served report drifted from inline");
+    assert_eq!(progress, 0, "a job that settled inside one interval got progress frames");
+    assert!(waited < interval / 3, "report took {waited:?} on a {interval:?} cadence");
+
+    // Re-attaching to the finished job replays the same report at once.
+    let mut watcher = Client::connect(addr).expect("connect");
+    assert!(matches!(watcher.watch(job).expect("watch"), Response::Accepted { .. }));
+    let (last, progress) = wait_counting_progress(&mut watcher);
+    assert_eq!(expect_report(last), inline, "watched report drifted from inline");
+    assert_eq!(progress, 0);
+
+    drain(addr);
+    server.join();
+}
+
+#[test]
+fn an_in_flight_job_still_streams_progress_before_its_report() {
+    let server = start_server(1, AdmissionConfig::default());
+    let addr = server.addr();
+    let long = spec(AnalysisMode::Tvla, 4000, 1);
+    let mut client = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        client.submit("t", &long.render(), true).expect("submit"),
+        Response::Accepted { job: 0 }
+    ));
+    let (last, progress) = wait_counting_progress(&mut client);
+    assert!(matches!(last, Response::Report { .. }), "got {last:?}");
+    assert!(progress >= 1, "no progress frame before the report of a long job");
+    drain(addr);
+    server.join();
+}
+
+#[test]
+fn settled_jobs_beyond_the_retention_cap_are_evicted() {
+    let server = start_server(2, AdmissionConfig::default());
+    let addr = server.addr();
+    let small = spec(AnalysisMode::Tvla, 10, 1).render();
+    for _ in 0..=FINISHED_KEPT + 1 {
+        let last = submit_and_wait(addr, "t", &small).expect("submit and wait");
+        assert!(matches!(last, Response::Report { .. }), "got {last:?}");
+    }
+
+    // Job 0 settled first and FINISHED_KEPT + 1 jobs settled after it.
+    let mut watcher = Client::connect(addr).expect("connect");
+    match watcher.watch(0).expect("watch") {
+        Response::Rejected { reason: RejectReason::Failed { error } } => {
+            assert_eq!(error, "no such job: 0");
+        }
+        other => panic!("expected the no-such-job refusal, got {other:?}"),
+    }
+    let mut canceller = Client::connect(addr).expect("connect");
+    assert!(matches!(
+        canceller.cancel(0).expect("cancel"),
+        Response::CancelOutcome { job: 0, outcome: CancelResult::NotFound }
+    ));
+    let mut status = Client::connect(addr).expect("connect");
+    let Response::JobList { jobs, .. } = status.status().expect("status") else {
+        panic!("expected JobList")
+    };
+    let finished = jobs.iter().filter(|j| j.state == JobState::Completed).count();
+    assert!(finished <= FINISHED_KEPT, "{finished} finished jobs listed");
+    assert!(jobs.iter().all(|j| j.id != 0));
+
+    drain(addr);
     server.join();
 }

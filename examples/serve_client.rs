@@ -44,8 +44,11 @@ fn main() {
     println!("── serving on {addr} (2 workers, queue cap 1) ──");
 
     // ── Stage 2: one tenant submits and streams the report ─────────────
+    // Progress frames arrive every 25 ms while the job runs and the
+    // report the moment it settles, so the job is sized to outlast a few
+    // progress ticks.
     let mut alice = Client::connect(addr).expect("connect");
-    match alice.submit("alice", &spec(AnalysisMode::Tvla, 300), true).expect("submit") {
+    match alice.submit("alice", &spec(AnalysisMode::Tvla, 3000), true).expect("submit") {
         Response::Accepted { job } => println!("[alice] job {job} accepted, streaming ..."),
         other => panic!("unexpected response: {other:?}"),
     }
