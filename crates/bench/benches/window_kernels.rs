@@ -109,6 +109,23 @@ fn main() {
     let rig_stream = rig_stream_total / RIG_CHUNK as f64;
     println!("{BENCH}/rig/observe_windows_stream_32{:<2} per obs:    {rig_stream:>10.1} ns", "");
 
+    // The same streaming loop as a CPA campaign runs it: the M2
+    // kernel-module victim with all four CPA keys read per observation
+    // (the single-key variants above read one).
+    let cpa_keys = Device::MacbookAirM2.cpa_keys();
+    let mut rig = Rig::new(Device::MacbookAirM2, VictimKind::KernelModule, [0x2Bu8; 16], 7);
+    let rig_cpa4_total = measure_ns(BENCH, "rig/observe_windows_stream_32_cpa4", || {
+        pts.clear();
+        for _ in 0..RIG_CHUNK {
+            pts.push(rig.random_plaintext());
+        }
+        rig.observe_windows_with(black_box(&pts), &cpa_keys, |obs| {
+            black_box(obs.windows);
+        });
+    });
+    let rig_cpa4 = rig_cpa4_total / RIG_CHUNK as f64;
+    println!("{BENCH}/rig/observe_windows_stream_32_cpa4 per obs:  {rig_cpa4:>10.1} ns");
+
     let engine_speedup = scalar / best_batched;
     let rig_speedup = rig_scalar / rig_stream;
     let smc_flatten_speedup = RIG_OBS_NS_BEFORE_SMC_FLATTEN / rig_stream;
@@ -130,6 +147,7 @@ fn main() {
     json_field(&mut json, "rig_observe_window_ns", rig_scalar);
     json_field(&mut json, "rig_observe_windows32_per_obs_ns", rig_batched);
     json_field(&mut json, "rig_observe_windows_stream32_per_obs_ns", rig_stream);
+    json_field(&mut json, "rig_observe_windows_stream32_cpa4_per_obs_ns", rig_cpa4);
     json_field(&mut json, "rig_batched_speedup", rig_speedup);
     json_field(&mut json, "rig_obs_ns_before_smc_flatten", RIG_OBS_NS_BEFORE_SMC_FLATTEN);
     json_field(&mut json, "smc_flatten_speedup", smc_flatten_speedup);

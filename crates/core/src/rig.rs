@@ -259,9 +259,9 @@ impl Rig {
             let n = self.smc.read().windows_until_publish(self.window_s);
             self.soc.run_windows_into(n, self.window_s, batch);
             self.ioreport.observe_windows(batch);
-            let published = self.smc.write().observe_windows(batch);
+            let published = !self.smc.write().observe_windows(batch).is_empty();
             windows += u32::try_from(n).unwrap_or(u32::MAX);
-            if !published.is_empty() {
+            if published {
                 break;
             }
         }

@@ -87,11 +87,19 @@ impl Snapshot {
     }
 }
 
+/// A registered channel's position in its [`IoReport`]'s dense value
+/// table, returned by [`IoReport::register`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChannelSlot(usize);
+
 /// The registry of cumulative channels.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct IoReport {
     time_s: f64,
-    channels: BTreeMap<ChannelId, ChannelValue>,
+    /// Name → slot, sorted: the cold enumeration and name-keyed reads.
+    slots: BTreeMap<ChannelId, ChannelSlot>,
+    /// Channel values in registration order, indexed by slot.
+    values: Vec<ChannelValue>,
 }
 
 impl IoReport {
@@ -101,9 +109,25 @@ impl IoReport {
         Self::default()
     }
 
-    /// Register a channel starting at zero.
-    pub fn register(&mut self, id: ChannelId, unit: ChannelUnit) {
-        self.channels.entry(id).or_insert(ChannelValue { value: 0.0, unit });
+    /// Register a channel starting at zero and return its slot.
+    ///
+    /// Slot contract: a slot indexes this registry's dense value table, so
+    /// [`IoReport::value_at`] and [`IoReport::accumulate_at`] through it
+    /// cost one bounds-checked index instead of a `String`-keyed map
+    /// lookup. A slot stays valid for the registry's lifetime (channels are
+    /// never removed), registering an existing id returns its slot with its
+    /// value untouched, and a slot means nothing to any other registry.
+    pub fn register(&mut self, id: ChannelId, unit: ChannelUnit) -> ChannelSlot {
+        let next = ChannelSlot(self.values.len());
+        let slot = *self.slots.entry(id).or_insert(next);
+        if slot == next {
+            self.values.push(ChannelValue { value: 0.0, unit });
+        }
+        slot
+    }
+
+    fn slot(&self, id: &ChannelId) -> Option<ChannelSlot> {
+        self.slots.get(id).copied()
     }
 
     /// Add to a channel's cumulative value.
@@ -112,8 +136,20 @@ impl IoReport {
     ///
     /// Panics if the channel was never registered (an integration bug).
     pub fn accumulate(&mut self, id: &ChannelId, amount: f64) {
-        let v = self.channels.get_mut(id).unwrap_or_else(|| panic!("channel {id} not registered"));
-        v.value += amount;
+        let slot = self.slot(id).unwrap_or_else(|| panic!("channel {id} not registered"));
+        self.accumulate_at(slot, amount);
+    }
+
+    /// Add to the cumulative value of the channel at `slot`.
+    pub fn accumulate_at(&mut self, slot: ChannelSlot, amount: f64) {
+        self.values[slot.0].value += amount;
+    }
+
+    /// Current cumulative value of the channel at `slot` (the
+    /// allocation-free read the hot observation loop uses).
+    #[must_use]
+    pub fn value_at(&self, slot: ChannelSlot) -> f64 {
+        self.values[slot.0].value
     }
 
     /// Advance the registry clock.
@@ -124,29 +160,30 @@ impl IoReport {
     /// Channel ids, sorted.
     #[must_use]
     pub fn channel_ids(&self) -> Vec<ChannelId> {
-        self.channels.keys().cloned().collect()
+        self.slots.keys().cloned().collect()
     }
 
     /// Group names, sorted and deduplicated.
     #[must_use]
     pub fn groups(&self) -> Vec<String> {
-        let mut groups: Vec<String> = self.channels.keys().map(|id| id.group.clone()).collect();
+        let mut groups: Vec<String> = self.slots.keys().map(|id| id.group.clone()).collect();
         groups.sort();
         groups.dedup();
         groups
     }
 
-    /// Current cumulative value of one channel without snapshotting (the
-    /// allocation-free read the hot observation loop uses).
+    /// Current cumulative value of one channel, looked up by name.
     #[must_use]
     pub fn get(&self, id: &ChannelId) -> Option<ChannelValue> {
-        self.channels.get(id).copied()
+        self.slot(id).map(|slot| self.values[slot.0])
     }
 
     /// Capture all channels.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot { time_s: self.time_s, channels: self.channels.clone() }
+        let channels =
+            self.slots.iter().map(|(id, slot)| (id.clone(), self.values[slot.0])).collect();
+        Snapshot { time_s: self.time_s, channels }
     }
 }
 
@@ -175,6 +212,20 @@ mod tests {
         r.accumulate(&id("g", "c"), 5.0);
         r.register(id("g", "c"), ChannelUnit::Count);
         assert_eq!(r.snapshot().get(&id("g", "c")).unwrap().value, 5.0);
+    }
+
+    #[test]
+    fn slots_are_dense_and_stable() {
+        let mut r = IoReport::new();
+        let b = r.register(id("g", "b"), ChannelUnit::Count);
+        let a = r.register(id("g", "a"), ChannelUnit::Count);
+        assert_ne!(a, b);
+        r.accumulate_at(a, 3.0);
+        assert_eq!(r.register(id("g", "a"), ChannelUnit::Count), a);
+        assert_eq!(r.slot(&id("g", "a")), Some(a));
+        assert_eq!(r.value_at(a), 3.0);
+        assert_eq!(r.get(&id("g", "a")).unwrap().value, 3.0);
+        assert_eq!(r.value_at(b), 0.0);
     }
 
     #[test]

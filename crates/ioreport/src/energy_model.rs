@@ -8,44 +8,30 @@
 //! reading. Both properties hold here by construction: the accumulator
 //! integrates the SoC's data-blind power **estimator** and quantizes to mJ.
 
-use crate::channel::{ChannelId, ChannelUnit, IoReport, Snapshot};
+use crate::channel::{ChannelId, ChannelSlot, ChannelUnit, IoReport, Snapshot};
 use psc_soc::{WindowBatch, WindowReport};
 
 /// Millijoule quantization of the energy channels.
 pub const ENERGY_QUANTUM_MJ: f64 = 1.0;
 
-/// The reporter's channel ids, constructed once — the sync path runs per
-/// SMC-sized observation, so it must not rebuild `String`-keyed ids.
+/// The reporter's channel slots, registered once at
+/// [`EnergyModelReporter::new`].
 #[derive(Debug, Clone, PartialEq)]
-struct ChannelIds {
-    pcpu: ChannelId,
-    ecpu: ChannelId,
-    dram: ChannelId,
-    p_residency: ChannelId,
-    e_residency: ChannelId,
-    p_cores: [ChannelId; 4],
-    e_cores: [ChannelId; 4],
-}
-
-impl Default for ChannelIds {
-    fn default() -> Self {
-        Self {
-            pcpu: EnergyModelReporter::pcpu(),
-            ecpu: EnergyModelReporter::ecpu(),
-            dram: EnergyModelReporter::dram(),
-            p_residency: EnergyModelReporter::p_residency(),
-            e_residency: EnergyModelReporter::e_residency(),
-            p_cores: core::array::from_fn(EnergyModelReporter::p_core_residency),
-            e_cores: core::array::from_fn(EnergyModelReporter::e_core_residency),
-        }
-    }
+struct ChannelSlots {
+    pcpu: ChannelSlot,
+    ecpu: ChannelSlot,
+    dram: ChannelSlot,
+    p_residency: ChannelSlot,
+    e_residency: ChannelSlot,
+    p_cores: [ChannelSlot; 4],
+    e_cores: [ChannelSlot; 4],
 }
 
 /// Integrates SoC activity into IOReport channels.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyModelReporter {
     report: IoReport,
-    ids: ChannelIds,
+    slots: ChannelSlots,
     // Unquantized running energies, mJ.
     pcpu_mj: f64,
     ecpu_mj: f64,
@@ -56,22 +42,42 @@ pub struct EnergyModelReporter {
     e_core_busy_ns: [f64; 4],
 }
 
+impl Default for EnergyModelReporter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl EnergyModelReporter {
     /// New reporter with the standard channel layout.
     #[must_use]
     pub fn new() -> Self {
-        let ids = ChannelIds::default();
+        use ChannelUnit::{Millijoules, Nanoseconds};
         let mut report = IoReport::new();
-        report.register(ids.pcpu.clone(), ChannelUnit::Millijoules);
-        report.register(ids.ecpu.clone(), ChannelUnit::Millijoules);
-        report.register(ids.dram.clone(), ChannelUnit::Millijoules);
-        report.register(ids.p_residency.clone(), ChannelUnit::Nanoseconds);
-        report.register(ids.e_residency.clone(), ChannelUnit::Nanoseconds);
-        for core in 0..4 {
-            report.register(ids.p_cores[core].clone(), ChannelUnit::Nanoseconds);
-            report.register(ids.e_cores[core].clone(), ChannelUnit::Nanoseconds);
+        let slots = ChannelSlots {
+            pcpu: report.register(Self::pcpu(), Millijoules),
+            ecpu: report.register(Self::ecpu(), Millijoules),
+            dram: report.register(Self::dram(), Millijoules),
+            p_residency: report.register(Self::p_residency(), Nanoseconds),
+            e_residency: report.register(Self::e_residency(), Nanoseconds),
+            p_cores: core::array::from_fn(|c| {
+                report.register(Self::p_core_residency(c), Nanoseconds)
+            }),
+            e_cores: core::array::from_fn(|c| {
+                report.register(Self::e_core_residency(c), Nanoseconds)
+            }),
+        };
+        Self {
+            report,
+            slots,
+            pcpu_mj: 0.0,
+            ecpu_mj: 0.0,
+            dram_mj: 0.0,
+            p_busy_ns: 0.0,
+            e_busy_ns: 0.0,
+            p_core_busy_ns: [0.0; 4],
+            e_core_busy_ns: [0.0; 4],
         }
-        Self { report, ids, ..Default::default() }
     }
 
     /// `CPU Stats/P-Core N busy residency` (per-core view, as shown by
@@ -182,25 +188,24 @@ impl EnergyModelReporter {
     }
 
     fn sync(&mut self) {
-        // Publish quantized cumulative values (mJ resolution). Current
-        // values read through the registry directly — no snapshot clone.
-        let set = |report: &mut IoReport, id: &ChannelId, target: f64| {
-            let current = report.get(id).map_or(0.0, |v| v.value);
-            let quantized = (target / ENERGY_QUANTUM_MJ).floor() * ENERGY_QUANTUM_MJ;
-            report.accumulate(id, quantized - current);
+        // Publish quantized cumulative values (mJ resolution). Each channel
+        // moves to its target as `value += target - value`, not a plain
+        // store: published totals are pinned bit for bit to that arithmetic.
+        let report = &mut self.report;
+        let mut set = |slot: ChannelSlot, target: f64| {
+            let current = report.value_at(slot);
+            report.accumulate_at(slot, target - current);
         };
-        set(&mut self.report, &self.ids.pcpu, self.pcpu_mj);
-        set(&mut self.report, &self.ids.ecpu, self.ecpu_mj);
-        set(&mut self.report, &self.ids.dram, self.dram_mj);
-        let set_ns = |report: &mut IoReport, id: &ChannelId, target: f64| {
-            let current = report.get(id).map_or(0.0, |v| v.value);
-            report.accumulate(id, target - current);
-        };
-        set_ns(&mut self.report, &self.ids.p_residency, self.p_busy_ns);
-        set_ns(&mut self.report, &self.ids.e_residency, self.e_busy_ns);
+        let quantize = |mj: f64| (mj / ENERGY_QUANTUM_MJ).floor() * ENERGY_QUANTUM_MJ;
+        let slots = &self.slots;
+        set(slots.pcpu, quantize(self.pcpu_mj));
+        set(slots.ecpu, quantize(self.ecpu_mj));
+        set(slots.dram, quantize(self.dram_mj));
+        set(slots.p_residency, self.p_busy_ns);
+        set(slots.e_residency, self.e_busy_ns);
         for core in 0..4 {
-            set_ns(&mut self.report, &self.ids.p_cores[core], self.p_core_busy_ns[core]);
-            set_ns(&mut self.report, &self.ids.e_cores[core], self.e_core_busy_ns[core]);
+            set(slots.p_cores[core], self.p_core_busy_ns[core]);
+            set(slots.e_cores[core], self.e_core_busy_ns[core]);
         }
     }
 
@@ -211,7 +216,7 @@ impl EnergyModelReporter {
     /// channel.
     #[must_use]
     pub fn pcpu_total_mj(&self) -> f64 {
-        self.report.get(&self.ids.pcpu).map_or(0.0, |v| v.value)
+        self.report.value_at(self.slots.pcpu)
     }
 
     /// Take a snapshot (the `socpowerbud` read pattern).

@@ -29,5 +29,5 @@
 pub mod channel;
 pub mod energy_model;
 
-pub use channel::{ChannelId, ChannelUnit, ChannelValue, IoReport, Snapshot};
+pub use channel::{ChannelId, ChannelSlot, ChannelUnit, ChannelValue, IoReport, Snapshot};
 pub use energy_model::EnergyModelReporter;

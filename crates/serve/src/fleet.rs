@@ -69,6 +69,7 @@ use crate::proto::{
     get_blob, get_blob_str, mode_from_u8, mode_to_u8, put_blob, read_frame, tags, write_frame,
     ProtoError,
 };
+use crate::unpoison;
 use psc_core::report::{self, campaign_banner, render_cpa_body, render_tvla_body};
 use psc_core::session::{
     merge, restore_monitor, Campaign, Merged, RecorderTally, ShardAnalysis, ShardFinal,
@@ -1102,7 +1103,7 @@ impl Shared {
                 reason: format!("member {member} out of range (fleet of {})", self.members),
             };
         }
-        let mut slots = self.slots.lock().expect("fleet slots lock");
+        let mut slots = unpoison(self.slots.lock());
         let slot = &mut slots[member];
         slot.last_seen = Some(Instant::now());
         match msg {
@@ -1276,7 +1277,7 @@ impl Aggregator {
                 Err(_) => {}
             }
             {
-                let mut slots = shared.slots.lock().expect("fleet slots lock");
+                let mut slots = unpoison(shared.slots.lock());
                 if first_done.is_none() && slots.iter().any(|s| s.done.is_some()) {
                     first_done = Some(Instant::now());
                 }
@@ -1315,7 +1316,7 @@ impl Aggregator {
             let _ = handler.join();
         }
 
-        let slots = std::mem::take(&mut *shared.slots.lock().expect("fleet slots lock"));
+        let slots = std::mem::take(&mut *unpoison(shared.slots.lock()));
         let reconnects: u64 = slots.iter().map(|s| s.max_epoch.saturating_sub(1)).sum();
         let outcomes: Vec<MemberOutcome> = slots
             .into_iter()

@@ -156,11 +156,12 @@ pub use server::{Server, ServerConfig, DEFAULT_ADDR};
 use std::sync::{LockResult, PoisonError};
 
 /// Take the guard out of a lock or condvar-wait result even when a
-/// thread panicked while holding the mutex. The server's job table and
-/// the pool's queue stay valid between any two statements of their
-/// critical sections (state flips, finished-log evictions, queue pushes
-/// and pops), so one panicking thread must not take every later
-/// request down with it.
+/// thread panicked while holding the mutex. The server's job table, the
+/// pool's queue and the fleet aggregator's member slots stay valid
+/// between any two statements of their critical sections (state flips,
+/// finished-log evictions, queue pushes and pops, per-member field
+/// updates), so one panicking thread must not take every later request
+/// down with it.
 pub(crate) fn unpoison<T>(result: LockResult<T>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
 }

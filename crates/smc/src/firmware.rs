@@ -232,6 +232,8 @@ pub struct Smc {
     index: Vec<usize>,
     acc: Accumulator,
     update_count: u64,
+    /// Reused buffer behind the slice [`Smc::observe_windows`] returns.
+    published: Vec<usize>,
 }
 
 impl Smc {
@@ -271,6 +273,7 @@ impl Smc {
             index: order,
             acc: Accumulator::default(),
             update_count: 0,
+            published: Vec::new(),
         };
         // Publish an initial idle snapshot so reads before the first window
         // return something, as the real SMC does.
@@ -383,15 +386,16 @@ impl Smc {
     /// update-interval crossing (the interval-stretching mitigation and
     /// cadence jitter are honoured mid-batch exactly as the per-window
     /// path honours them). Returns the batch indices of the windows whose
-    /// integration triggered a publish.
+    /// integration triggered a publish, in a buffer the firmware reuses
+    /// across calls (the steady-state observation loop allocates nothing).
     ///
     /// Bit-identical to feeding the batch's reports through
     /// [`Smc::observe_window`] one at a time — the accumulation runs as
     /// columnar segment sweeps but performs the same floating-point
     /// operations in the same order.
-    pub fn observe_windows(&mut self, batch: &WindowBatch) -> Vec<usize> {
+    pub fn observe_windows(&mut self, batch: &WindowBatch) -> &[usize] {
         let dt = batch.duration_s();
-        let mut published = Vec::new();
+        self.published.clear();
         let mut seg_start = 0usize;
         // Probe time evolves by the same `+= dt` sequence the accumulator
         // applies, so the publish boundaries match the sequential path
@@ -404,7 +408,7 @@ impl Smc {
                 let mean = self.acc.mean_report();
                 self.publish(&mean);
                 self.finish_publish();
-                published.push(i);
+                self.published.push(i);
                 seg_start = i + 1;
                 probe = 0.0;
             }
@@ -412,7 +416,7 @@ impl Smc {
         if seg_start < batch.len() {
             self.acc.add_columns(batch, seg_start, batch.len());
         }
-        published
+        &self.published
     }
 
     /// How many more windows of `window_s` seconds the firmware needs
@@ -494,6 +498,16 @@ impl Smc {
         &self.sorted_keys
     }
 
+    /// A key's published value and whether the active mitigation denies
+    /// it to unprivileged clients, from one lookup (the IOKit read path).
+    #[must_use]
+    pub(crate) fn read_gated(&self, k: SmcKey) -> Option<(SmcValue, bool)> {
+        self.lookup(k).map(|i| {
+            let rt = &self.runtime[i];
+            (rt.published, self.mitigation.restrict_power_keys && rt.power_related)
+        })
+    }
+
     /// Type/size info for a key.
     #[must_use]
     pub fn key_info(&self, k: SmcKey) -> Option<(SmcDataType, usize)> {
@@ -507,8 +521,7 @@ impl Smc {
     /// the active mitigation.
     #[must_use]
     pub fn is_restricted(&self, k: SmcKey) -> bool {
-        self.mitigation.restrict_power_keys
-            && self.lookup(k).is_some_and(|i| self.runtime[i].power_related)
+        self.read_gated(k).is_some_and(|(_, restricted)| restricted)
     }
 
     /// Whether user space may write this key.

@@ -12,7 +12,7 @@
 
 use crate::firmware::Smc;
 use crate::key::SmcKey;
-use crate::types::{SmcDataType, SmcValue};
+use crate::types::{SmcDataType, SmcValue, MAX_VALUE_BYTES};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -148,13 +148,8 @@ impl SmcUserClient {
                 Ok(out.freeze())
             }
             SELECTOR_READ_KEY => {
-                let k = parse_key(input)?;
-                let smc = self.smc.read();
-                if smc.is_restricted(k) && !self.privileged {
-                    return Err(IoKitError::AccessDenied(k));
-                }
-                let value = smc.read(k).ok_or(IoKitError::KeyNotFound(k))?;
-                Ok(value.to_bytes())
+                let (_, buf, len) = self.read_wire(parse_key(input)?)?;
+                Ok(Bytes::copy_from_slice(&buf[..len]))
             }
             SELECTOR_WRITE_KEY => {
                 if input.len() < 5 {
@@ -256,15 +251,36 @@ impl SmcUserClient {
 
     /// Read and decode a key's current value.
     ///
+    /// One lock, one lookup: the read takes a single firmware read guard,
+    /// resolves the key once, and decodes the value from the same wire
+    /// bytes [`SELECTOR_READ_KEY`] returns, encoded into a stack buffer, so
+    /// the per-key read neither allocates nor sees two firmware states.
+    ///
     /// # Errors
     ///
-    /// [`IoKitError::KeyNotFound`] for unknown keys,
+    /// [`IoKitError::KeyNotFound`] for unknown keys (checked first),
     /// [`IoKitError::AccessDenied`] when the access-restriction mitigation
     /// is active and this client is unprivileged.
     pub fn read_key(&self, k: SmcKey) -> Result<SmcValue, IoKitError> {
-        let (dtype, _) = self.key_info(k)?;
-        let raw = self.call_struct_method(SELECTOR_READ_KEY, k.as_bytes())?;
-        SmcValue::from_bytes(dtype, &raw).map_err(|_| IoKitError::BadInput)
+        let (dtype, buf, len) = self.read_wire(k)?;
+        SmcValue::from_bytes(dtype, &buf[..len]).map_err(|_| IoKitError::BadInput)
+    }
+
+    /// The shared body of [`SmcUserClient::read_key`] and
+    /// [`SELECTOR_READ_KEY`]: the key's type and wire bytes under one read
+    /// guard and one lookup.
+    fn read_wire(
+        &self,
+        k: SmcKey,
+    ) -> Result<(SmcDataType, [u8; MAX_VALUE_BYTES], usize), IoKitError> {
+        let smc = self.smc.read();
+        let (value, restricted) = smc.read_gated(k).ok_or(IoKitError::KeyNotFound(k))?;
+        if restricted && !self.privileged {
+            return Err(IoKitError::AccessDenied(k));
+        }
+        let mut buf = [0u8; MAX_VALUE_BYTES];
+        let len = value.data_type.encode_into(value.value, &mut buf);
+        Ok((value.data_type, buf, len))
     }
 
     /// Convenience: read a power key in watts.

@@ -5,8 +5,11 @@
 //! population uses, with byte-exact encode/decode so the IOKit-style
 //! client can ship raw bytes like `IOConnectCallStructMethod` does.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use serde::{Deserialize, Serialize};
+
+/// The largest encoded size of any [`SmcDataType`] (`flt `, `ui32`).
+pub(crate) const MAX_VALUE_BYTES: usize = 4;
 
 /// SMC data type codes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -76,23 +79,38 @@ impl SmcDataType {
     /// saturates rather than erroring).
     #[must_use]
     pub fn encode(self, value: f64) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.size());
+        let mut buf = [0u8; MAX_VALUE_BYTES];
+        let n = self.encode_into(value, &mut buf);
+        Bytes::copy_from_slice(&buf[..n])
+    }
+
+    /// Encode into a stack buffer and return the encoded length
+    /// ([`SmcDataType::size`]): the one encoder behind
+    /// [`SmcDataType::encode`] and the IOKit read path, which ships values
+    /// without allocating.
+    pub(crate) fn encode_into(self, value: f64, out: &mut [u8; MAX_VALUE_BYTES]) -> usize {
         match self {
-            SmcDataType::Flt => buf.put_f32_le(value as f32),
-            SmcDataType::Ui8 => buf.put_u8(value.clamp(0.0, 255.0).round() as u8),
-            SmcDataType::Ui16 => buf.put_u16(value.clamp(0.0, 65_535.0).round() as u16),
-            SmcDataType::Ui32 => buf.put_u32(value.clamp(0.0, u32::MAX as f64).round() as u32),
+            SmcDataType::Flt => out.copy_from_slice(&(value as f32).to_le_bytes()),
+            SmcDataType::Ui8 => out[0] = value.clamp(0.0, 255.0).round() as u8,
+            SmcDataType::Ui16 => {
+                let v = value.clamp(0.0, 65_535.0).round() as u16;
+                out[..2].copy_from_slice(&v.to_be_bytes());
+            }
+            SmcDataType::Ui32 => {
+                let v = value.clamp(0.0, u32::MAX as f64).round() as u32;
+                out.copy_from_slice(&v.to_be_bytes());
+            }
             SmcDataType::Sp78 => {
                 let fixed = (value * 256.0).clamp(i16::MIN as f64, i16::MAX as f64).round() as i16;
-                buf.put_i16(fixed);
+                out[..2].copy_from_slice(&fixed.to_be_bytes());
             }
             SmcDataType::Fpe2 => {
                 let fixed = (value * 4.0).clamp(0.0, 65_535.0).round() as u16;
-                buf.put_u16(fixed);
+                out[..2].copy_from_slice(&fixed.to_be_bytes());
             }
-            SmcDataType::Flag => buf.put_u8(u8::from(value != 0.0)),
+            SmcDataType::Flag => out[0] = u8::from(value != 0.0),
         }
-        buf.freeze()
+        self.size()
     }
 
     /// Decode wire bytes into a numeric value.

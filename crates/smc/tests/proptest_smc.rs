@@ -107,7 +107,10 @@ proptest! {
 mod iokit_protocol_fuzz {
     use super::*;
 
-    use psc_smc::iokit::{share, SmcUserClient};
+    use psc_smc::iokit::{share, IoKitError, SmcUserClient, SELECTOR_READ_KEY};
+    use psc_smc::types::SmcValue;
+    use psc_smc::MitigationConfig;
+    use std::sync::Arc;
 
     fn any_client() -> SmcUserClient {
         let mut smc = Smc::new(SensorSet::macbook_air_m2(), 123);
@@ -127,17 +130,40 @@ mod iokit_protocol_fuzz {
             let _ = client.call_struct_method(selector, &input);
         }
 
-        /// Reading any enumerated key succeeds and round-trips through the
-        /// declared wire type.
+        /// Reading any enumerated key succeeds, round-trips through the
+        /// declared wire type, and decodes to exactly what the raw
+        /// `SELECTOR_READ_KEY` bytes decode to, on both sensor sets. Under
+        /// the access restriction both paths deny the unprivileged client
+        /// the same way and give the privileged client the same value.
         #[test]
         fn read_all_keys_roundtrip(index_seed in any::<u64>()) {
-            let client = any_client();
-            let keys = client.all_keys().unwrap();
-            let key = keys[(index_seed % keys.len() as u64) as usize];
-            let (dtype, size) = client.key_info(key).unwrap();
-            let value = client.read_key(key).unwrap();
-            prop_assert_eq!(value.data_type, dtype);
-            prop_assert_eq!(value.to_bytes().len(), size);
+            for sensors in [SensorSet::mac_mini_m1(), SensorSet::macbook_air_m2()] {
+                let mut smc = Smc::new(sensors, 123);
+                smc.observe_window(&report(2.0, 2.2, 40.0));
+                let shared = share(smc);
+                let client = SmcUserClient::new(Arc::clone(&shared));
+                let keys = client.all_keys().unwrap();
+                let key = keys[(index_seed % keys.len() as u64) as usize];
+                let (dtype, size) = client.key_info(key).unwrap();
+                let value = client.read_key(key).unwrap();
+                prop_assert_eq!(value.data_type, dtype);
+                prop_assert_eq!(value.to_bytes().len(), size);
+                let wire = |c: &SmcUserClient| {
+                    c.call_struct_method(SELECTOR_READ_KEY, key.as_bytes())
+                        .map(|raw| SmcValue::from_bytes(dtype, &raw).unwrap())
+                };
+                let bits = |v: Result<SmcValue, IoKitError>| v.map(|v| (v.data_type, v.value.to_bits()));
+                prop_assert_eq!(bits(client.read_key(key)), bits(wire(&client)));
+
+                shared.write().set_mitigation(MitigationConfig::restrict_access());
+                let root = SmcUserClient::privileged(Arc::clone(&shared));
+                prop_assert_eq!(bits(client.read_key(key)), bits(wire(&client)));
+                prop_assert_eq!(bits(root.read_key(key)), bits(wire(&root)));
+                prop_assert_eq!(bits(root.read_key(key)), bits(Ok(value)));
+                if shared.read().is_restricted(key) {
+                    prop_assert_eq!(client.read_key(key), Err(IoKitError::AccessDenied(key)));
+                }
+            }
         }
 
         /// Writes of arbitrary values either succeed (writable keys) or
