@@ -42,7 +42,6 @@ pub mod gf;
 pub mod hamming;
 pub mod key_schedule;
 pub mod leakage;
-pub mod masked;
 pub mod sbox;
 pub mod state;
 

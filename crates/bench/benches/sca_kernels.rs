@@ -65,15 +65,6 @@ fn main() {
 
     measure_ns(BENCH, "detrend_10k", || psc_sca::filter::detrend_trace_set(&traces, 31));
 
-    let [fa, fb, fc] = ["A", "B", "C"].map(|label| {
-        let mut set = traces.clone();
-        set.label = label.to_owned();
-        set
-    });
-    measure_ns(BENCH, "fuse_z_3x10k", || {
-        psc_sca::fusion::fuse_z(&[&fa, &fb, &fc]).expect("aligned")
-    });
-
     measure_ns(BENCH, "codec_roundtrip_10k", || {
         let mut bytes = Vec::with_capacity(traces.len() * 40 + 64);
         psc_sca::codec::write_trace_set(&traces, &mut bytes).expect("write");

@@ -127,7 +127,6 @@
 pub mod campaign;
 pub mod checkpoint;
 pub mod experiments;
-pub mod pmset;
 pub mod report;
 pub mod rig;
 pub mod session;

@@ -24,6 +24,8 @@ use crate::spec::{AnalysisMode, CampaignSpec};
 use psc_sca::model::PowerModel;
 use psc_sca::rank::{guessing_entropy, recovery_tally};
 use psc_telemetry::metrics::{names, MetricsReport};
+use psc_telemetry::processors::ThrottleMonitor;
+use psc_telemetry::ring::ChannelStats;
 
 /// The pre-run header lines `psc campaign` prints before streaming: the
 /// mode/target/budget line, plus the fleet fan-out note when `fleet`.
@@ -55,10 +57,28 @@ pub fn campaign_banner(spec: &CampaignSpec) -> String {
     out
 }
 
-/// Degradation summary — silent on a fully healthy run so
+/// The accounting tail every streaming body ends with: bus and
+/// denied-read counts, then recorder failures and the degradation
+/// summary. The last two are silent on a fully healthy run so
 /// interrupt/resume and served/inline output diffs stay clean (details
 /// go to stderr at merge time).
-fn render_health(out: &mut String, health: &[ShardHealth], io_retries: u64) {
+fn render_accounting(
+    out: &mut String,
+    bus: &ChannelStats,
+    monitor: &ThrottleMonitor,
+    io_errors: u64,
+    health: &[ShardHealth],
+    io_retries: u64,
+) {
+    out.push_str(&format!(
+        "bus: {} accepted, {} dropped; denied reads: {}\n",
+        bus.accepted,
+        bus.dropped,
+        monitor.denied_reads()
+    ));
+    if io_errors > 0 {
+        out.push_str(&format!("recorder I/O errors: {io_errors} (recording incomplete)\n"));
+    }
     let unhealthy = health.iter().filter(|h| !h.is_ok()).count();
     if unhealthy > 0 {
         out.push_str(&format!(
@@ -110,19 +130,14 @@ pub fn render_tvla_body(report: &StreamingTvlaReport) -> String {
     if let Some(pcpu) = report.pcpu_matrix() {
         out.push_str(&format!("{}\n", pcpu.render()));
     }
-    out.push_str(&format!(
-        "bus: {} accepted, {} dropped; denied reads: {}\n",
-        report.bus.accepted,
-        report.bus.dropped,
-        report.monitor.denied_reads()
-    ));
-    if report.io_errors > 0 {
-        out.push_str(&format!(
-            "recorder I/O errors: {} (recording incomplete)\n",
-            report.io_errors
-        ));
-    }
-    render_health(&mut out, &report.health, report.io_retries);
+    render_accounting(
+        &mut out,
+        &report.bus,
+        &report.monitor,
+        report.io_errors,
+        &report.health,
+        report.io_retries,
+    );
     out
 }
 
@@ -143,19 +158,14 @@ pub fn render_cpa_body(report: &StreamingCpaReport, secret_key: &[u8; 16]) -> St
             None => out.push_str(&format!("{k}: no readable samples\n")),
         }
     }
-    out.push_str(&format!(
-        "bus: {} accepted, {} dropped; denied reads: {}\n",
-        report.bus.accepted,
-        report.bus.dropped,
-        report.monitor.denied_reads()
-    ));
-    if report.io_errors > 0 {
-        out.push_str(&format!(
-            "recorder I/O errors: {} (recording incomplete)\n",
-            report.io_errors
-        ));
-    }
-    render_health(&mut out, &report.health, report.io_retries);
+    render_accounting(
+        &mut out,
+        &report.bus,
+        &report.monitor,
+        report.io_errors,
+        &report.health,
+        report.io_retries,
+    );
     out
 }
 

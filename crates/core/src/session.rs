@@ -970,6 +970,30 @@ pub struct Merged<A> {
     pub warnings: Vec<String>,
 }
 
+/// The factory for one CPA campaign's empty accumulators, one per key:
+/// a single guess-major hypothesis table for the whole campaign (shards
+/// and channels clone the `Arc` instead of recomputing the 512 KB table)
+/// and the tuned correlation unroll width. [`Session::cpa`] and the
+/// distributed fleet's merge both build through it, so their merged
+/// states stay bit-identical.
+pub fn cpa_accumulators<F>(
+    keys: &[SmcKey],
+    model_factory: F,
+    unroll: usize,
+) -> impl Fn() -> StreamingCpa
+where
+    F: Fn() -> Box<dyn PowerModel>,
+{
+    let table = Arc::new(HypTable::for_model(model_factory().as_ref()));
+    let keys = keys.to_vec();
+    move || {
+        let channels = keys.iter().map(|&k| ChannelId::Smc(k));
+        let mut cpa = StreamingCpa::with_table(channels, &model_factory, Arc::clone(&table));
+        cpa.set_unroll(unroll);
+        cpa
+    }
+}
+
 /// The one merge fold: combine shard outcomes in shard order. Every
 /// campaign report — in-process TVLA, adaptive and CPA, and the
 /// distributed fleet aggregator's — is built from its result, so a
@@ -1786,22 +1810,12 @@ impl Session<'_> {
         model_factory: impl Fn() -> Box<dyn PowerModel> + Send + Sync,
     ) -> StreamingCpaReport {
         let counts = split_counts(self.spec.traces, self.shards);
-        // One guess-major hypothesis table for the whole campaign: shards
-        // (and channels within a shard) clone the Arc instead of
-        // recomputing the 512 KB table per accumulator.
-        let hyp_table = Arc::new(HypTable::for_model(model_factory().as_ref()));
         let (merged, metrics) = self.stream(
             KIND_CPA,
             "campaign/cpa",
             self.spec.traces as u64,
             |i| Schedule::KnownPlaintext { traces: counts[i] },
-            || {
-                let channels = self.spec.keys.iter().map(|&k| ChannelId::Smc(k));
-                let mut cpa =
-                    StreamingCpa::with_table(channels, &model_factory, Arc::clone(&hyp_table));
-                cpa.set_unroll(self.spec.tune.cpa_unroll);
-                cpa
-            },
+            cpa_accumulators(&self.spec.keys, model_factory, self.spec.tune.cpa_unroll),
             |_| false,
         );
         StreamingCpaReport::from_merged(merged, self.spec.keys.clone(), metrics)

@@ -62,7 +62,6 @@ pub mod codec;
 pub mod cpa;
 pub mod enumerate;
 pub mod filter;
-pub mod fusion;
 pub mod model;
 pub mod rank;
 pub mod stats;

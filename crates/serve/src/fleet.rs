@@ -72,18 +72,17 @@ use crate::proto::{
 use crate::unpoison;
 use psc_core::report::{self, campaign_banner, render_cpa_body, render_tvla_body};
 use psc_core::session::{
-    merge, restore_monitor, Campaign, Merged, RecorderTally, ShardAnalysis, ShardFinal,
-    ShardHealth, StreamingCpaReport, StreamingTvlaReport, MONITOR_INTERVAL_S,
+    cpa_accumulators, merge, restore_monitor, Campaign, Merged, RecorderTally, ShardAnalysis,
+    ShardFinal, ShardHealth, StreamingCpaReport, StreamingTvlaReport, MONITOR_INTERVAL_S,
 };
 use psc_core::source::{Fleet, FleetShard};
 use psc_core::spec::{AnalysisMode, CampaignSpec, MitigationSetting};
 use psc_sca::checkpoint::{
     decode_frame, encode_frame, CheckpointError, PayloadReader, PayloadWriter,
 };
-use psc_sca::cpa::HypTable;
 use psc_telemetry::faults::{FaultPlan, FaultState, RetryPolicy};
 use psc_telemetry::ring::ChannelStats;
-use psc_telemetry::{split_counts, ChannelId, StreamingCpa, StreamingTvla, ThrottleMonitor};
+use psc_telemetry::{split_counts, StreamingTvla, ThrottleMonitor};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -682,15 +681,8 @@ pub fn merge_survivors(
             (text, report.tvla.state_payload(), report.health)
         }
         AnalysisMode::Cpa => {
-            // One shared hypothesis table, like the in-process driver.
-            let table = Arc::new(HypTable::for_model(report::cpa_model().as_ref()));
-            let merged = merge_members(spec, outcomes, || {
-                let channels = spec.keys().into_iter().map(ChannelId::Smc);
-                let mut cpa =
-                    StreamingCpa::with_table(channels, report::cpa_model, Arc::clone(&table));
-                cpa.set_unroll(spec.tune.cpa_unroll);
-                cpa
-            })?;
+            let new_cpa = cpa_accumulators(&spec.keys(), report::cpa_model, spec.tune.cpa_unroll);
+            let merged = merge_members(spec, outcomes, new_cpa)?;
             let report = StreamingCpaReport::from_merged(merged, spec.keys(), None);
             let text = campaign_banner(spec) + &render_cpa_body(&report, &spec.key);
             (text, report.cpa.state_payload(), report.health)

@@ -332,55 +332,6 @@ impl Workload for AesWorkload {
     }
 }
 
-/// A first-order *masked* AES victim (see [`psc_aes::masked`]): every
-/// encryption draws fresh uniform masks, so each recorded state's expected
-/// Hamming weight is exactly 64 regardless of the data — the window-mean
-/// power carries **zero** deterministic signal, and per-mask variance
-/// averages down as 1/√reps. This workload therefore models the masked
-/// victim analytically: no data-dependent component at all, only the
-/// residual electrical noise (slightly larger than the unmasked victim's
-/// because table recomputation adds activity jitter).
-#[derive(Debug, Clone)]
-pub struct MaskedAesWorkload {
-    signal: AesSignal,
-}
-
-impl MaskedAesWorkload {
-    /// Build with the device's signal calibration (the data-dependent
-    /// coupling `w_per_unit` is irrelevant here — masking zeroes it).
-    #[must_use]
-    pub fn new(signal: AesSignal) -> Self {
-        Self { signal }
-    }
-}
-
-impl Workload for MaskedAesWorkload {
-    fn name(&self) -> &str {
-        "aes-victim-masked"
-    }
-
-    fn intensity(&self) -> f64 {
-        // Slightly above the unmasked victim: the per-encryption masked
-        // S-box recomputation costs extra switching activity.
-        0.76
-    }
-
-    fn window_signal_w(&mut self, reps: f64, rng: &mut dyn rand::RngCore) -> f64 {
-        self.signal_plan(reps).expect("masked AES workload always plans").sample(rng)
-    }
-
-    fn signal_plan(&mut self, reps: f64) -> Option<SignalPlan> {
-        let averaging = (reps.max(1.0) / 1.0e7).sqrt().max(0.25);
-        // Mask-sampling variance joins the residual noise; both average
-        // down over the window's repetitions. No deterministic part at
-        // all: masking scrubs the data dependence.
-        Some(SignalPlan {
-            deterministic_w: 0.0,
-            sigma_w: 1.4 * self.signal.residual_sigma_w / averaging,
-        })
-    }
-}
-
 /// Convenience: a fresh shared plaintext handle.
 #[must_use]
 pub fn shared_plaintext(initial: [u8; 16]) -> SharedPlaintext {

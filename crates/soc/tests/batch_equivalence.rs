@@ -9,9 +9,7 @@ use psc_soc::config::SocSpec;
 use psc_soc::limits::PowerMode;
 use psc_soc::sched::SchedAttrs;
 use psc_soc::soc::{GovernorFeed, Soc, WindowReport};
-use psc_soc::workload::{
-    shared_plaintext, AesSignal, AesWorkload, FmulStressor, Idle, MaskedAesWorkload, MatrixStressor,
-};
+use psc_soc::workload::{shared_plaintext, AesWorkload, FmulStressor, Idle, MatrixStressor};
 use psc_soc::WindowBatch;
 use std::sync::Arc;
 
@@ -106,19 +104,6 @@ fn mixed_workloads_with_stressors() {
         soc
     };
     assert_batch_equals_sequential("AES + matrix + fmul + idle", build, 32, 1.0);
-}
-
-#[test]
-fn masked_victim_batch() {
-    let build = || {
-        let mut soc = Soc::new(SocSpec::macbook_air_m2(), 9);
-        let w = MaskedAesWorkload::new(AesSignal::default());
-        for i in 0..3 {
-            soc.spawn(format!("masked{i}"), SchedAttrs::realtime_p_core(), Box::new(w.clone()));
-        }
-        soc
-    };
-    assert_batch_equals_sequential("masked AES victims", build, 40, 1.0);
 }
 
 #[test]

@@ -8,9 +8,7 @@ use psc_soc::limits::{LimitGovernor, PowerEstimator, PowerMode};
 use psc_soc::power::{core_dynamic_power_w, PowerRails};
 use psc_soc::sched::{place, SchedAttrs, SchedPolicy, ThreadId};
 use psc_soc::thermal::ThermalModel;
-use psc_soc::workload::{
-    shared_plaintext, AesSignal, AesWorkload, MaskedAesWorkload, MatrixStressor, Workload,
-};
+use psc_soc::workload::{shared_plaintext, AesSignal, AesWorkload, MatrixStressor, Workload};
 use psc_soc::Soc;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -155,18 +153,6 @@ proptest! {
         let pt = shared_plaintext([pt_byte; 16]);
         let signal = AesSignal { w_per_unit, residual_sigma_w: residual };
         let mut workload = AesWorkload::with_signal(model, pt, signal);
-        assert_fill_matches_scalar(&mut workload, reps, n, seed);
-    }
-
-    #[test]
-    fn masked_workload_fill_matches_scalar(
-        seed in any::<u64>(),
-        reps in 1.0e3f64..1.0e9,
-        n in 1usize..40,
-        residual in 0.0f64..1.0e-2,
-    ) {
-        let signal = AesSignal { w_per_unit: 5.0e-5, residual_sigma_w: residual };
-        let mut workload = MaskedAesWorkload::new(signal);
         assert_fill_matches_scalar(&mut workload, reps, n, seed);
     }
 

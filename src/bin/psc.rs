@@ -48,7 +48,9 @@ use apple_power_sca::smc::key::key;
 use apple_power_sca::telemetry::faults::RetryPolicy;
 use apple_power_sca::telemetry::metrics::{validate_json, MetricsReport};
 use apple_power_sca::telemetry::spans::SpanTracer;
+use std::fmt::Display;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 
 const USAGE: &str = "\
@@ -173,9 +175,8 @@ fn parse_opt(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
 }
 
-fn cmd_cpa(cfg: &ExperimentConfig, args: &[String]) {
-    let traces =
-        parse_opt(args, "--traces").and_then(|s| s.parse().ok()).unwrap_or(cfg.cpa_traces_m2);
+fn cmd_cpa(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
+    let traces = parse_usize(args, "--traces", cfg.cpa_traces_m2)?;
     let kind =
         if parse_flag(args, "--kernel") { VictimKind::KernelModule } else { VictimKind::UserSpace };
     println!("collecting {traces} PHPC traces ({kind:?} victim)...");
@@ -186,6 +187,7 @@ fn cmd_cpa(cfg: &ExperimentConfig, args: &[String]) {
         .session()
         .collect();
     report_cpa(&sets[&key("PHPC")], Some(cfg.secret_key));
+    Ok(())
 }
 
 fn report_cpa(set: &apple_power_sca::sca::trace::TraceSet, secret: Option<[u8; 16]>) {
@@ -229,8 +231,8 @@ fn parse_tune(args: &[String]) -> Result<TuneConfig, String> {
         ("--replay-chunk", &mut tuned.replay_chunk),
         ("--bus-capacity", &mut tuned.bus_capacity),
     ] {
-        if let Some(v) = parse_opt(args, flag) {
-            *field = v.parse().map_err(|e| format!("bad {flag} value {v:?}: {e}"))?;
+        if let Some(v) = parse_num(args, flag)? {
+            *field = v;
         }
     }
     tuned.validate()?;
@@ -289,23 +291,15 @@ fn spec_from_args(cfg: &ExperimentConfig, args: &[String]) -> Result<CampaignSpe
     let mut spec = CampaignSpec::new(mode, device, cfg);
     spec.kernel = parse_flag(args, "--kernel");
     spec.fleet = parse_flag(args, "--fleet");
-    spec.traces = parse_opt(args, "--traces")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| CampaignSpec::default_traces(mode, device, cfg));
-    if let Some(s) = parse_opt(args, "--shards") {
-        spec.shards = s.parse::<usize>().map(|n| n.max(1)).unwrap_or(spec.shards);
-    }
+    spec.traces = parse_usize(args, "--traces", CampaignSpec::default_traces(mode, device, cfg))?;
+    spec.shards = parse_usize(args, "--shards", spec.shards)?.max(1);
     spec.tune = parse_tune(args)?;
     spec.mitigation =
         parse_opt(args, "--mitigation").map(|s| MitigationSetting::parse(&s)).transpose()?;
     spec.record = parse_opt(args, "--record");
-    spec.monitor = parse_opt(args, "--monitor")
-        .map(|s| s.parse::<f64>().map_err(|e| format!("bad --monitor value {s:?}: {e}")))
-        .transpose()?;
-    if let Some(every) = parse_opt(args, "--checkpoint-every") {
-        spec.every = every
-            .parse::<u64>()
-            .map_err(|e| format!("bad --checkpoint-every value {every:?}: {e}"))?;
+    spec.monitor = parse_num(args, "--monitor")?;
+    if let Some(every) = parse_num(args, "--checkpoint-every")? {
+        spec.every = every;
         if spec.every == 0 {
             return Err("--checkpoint-every must be positive".into());
         }
@@ -329,9 +323,7 @@ fn run_campaign(
     // numeric value overrides the interval.
     let progress_s = parse_flag(args, "--progress")
         .then(|| parse_opt(args, "--progress").and_then(|s| s.parse::<f64>().ok()).unwrap_or(1.0));
-    let halt_after = parse_opt(args, "--halt-after")
-        .map(|s| s.parse::<u64>().map_err(|e| format!("bad --halt-after value {s:?}: {e}")))
-        .transpose()?;
+    let halt_after = parse_num(args, "--halt-after")?;
     let tracer = trace_out.is_some().then(|| Arc::new(SpanTracer::new()));
 
     print!("{}", report::campaign_banner(spec));
@@ -446,8 +438,7 @@ fn cmd_replay(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
 
 fn cmd_collect(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     let out = parse_opt(args, "--out").ok_or("--out FILE is required")?;
-    let traces =
-        parse_opt(args, "--traces").and_then(|s| s.parse().ok()).unwrap_or(cfg.cpa_traces_m2);
+    let traces = parse_usize(args, "--traces", cfg.cpa_traces_m2)?;
     let secret = match parse_opt(args, "--key") {
         Some(hex) => parse_key_hex(&hex)?,
         None => cfg.secret_key,
@@ -470,7 +461,7 @@ fn cmd_analyze(cfg: &ExperimentConfig, args: &[String]) -> Result<(), String> {
     let file = std::fs::File::open(path).map_err(|e| e.to_string())?;
     let mut set = read_trace_set(file).map_err(|e| e.to_string())?;
     println!("loaded {} traces labelled {:?} from {path}", set.len(), set.label);
-    if let Some(w) = parse_opt(args, "--detrend").and_then(|s| s.parse::<usize>().ok()) {
+    if let Some(w) = parse_num::<usize>(args, "--detrend")? {
         // High-pass the series to strip slow drift (useful on PSTR-class
         // channels); see tests/pstr_detrending.rs.
         set = apple_power_sca::sca::filter::detrend_trace_set(&set, w.max(1));
@@ -488,11 +479,19 @@ fn serve_addr(args: &[String]) -> String {
     parse_opt(args, "--addr").unwrap_or_else(|| DEFAULT_ADDR.to_owned())
 }
 
-fn parse_usize(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+/// `flag`'s parsed value, if given. A malformed value is an error, never
+/// a silent fallback to the default.
+fn parse_num<T: FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String>
+where
+    T::Err: Display,
+{
     parse_opt(args, flag)
-        .map(|s| s.parse::<usize>().map_err(|e| format!("bad {flag} value {s:?}: {e}")))
+        .map(|s| s.parse::<T>().map_err(|e| format!("bad {flag} value {s:?}: {e}")))
         .transpose()
-        .map(|v| v.unwrap_or(default))
+}
+
+fn parse_usize(args: &[String], flag: &str, default: usize) -> Result<usize, String> {
+    Ok(parse_num(args, flag)?.unwrap_or(default))
 }
 
 /// `psc serve`: run the campaign daemon until a client drains it.
@@ -592,12 +591,6 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn parse_u64_opt(args: &[String], flag: &str) -> Result<Option<u64>, String> {
-    parse_opt(args, flag)
-        .map(|s| s.parse::<u64>().map_err(|e| format!("bad {flag} value {s:?}: {e}")))
-        .transpose()
-}
-
 fn read_spec_file(args: &[String]) -> Result<CampaignSpec, String> {
     let file = parse_opt(args, "--spec").ok_or("--spec FILE is required")?;
     let text = std::fs::read_to_string(&file).map_err(|e| format!("{file}: {e}"))?;
@@ -609,23 +602,20 @@ fn read_spec_file(args: &[String]) -> Result<CampaignSpec, String> {
 fn cmd_worker(args: &[String]) -> Result<(), String> {
     let addr = parse_opt(args, "--connect").ok_or("--connect HOST:PORT is required")?;
     let spec = read_spec_file(args)?;
-    let member = parse_u64_opt(args, "--member")?.ok_or("--member I is required")? as usize;
+    let member = parse_num::<usize>(args, "--member")?.ok_or("--member I is required")?;
     let workdir = match parse_opt(args, "--workdir") {
         Some(dir) => std::path::PathBuf::from(dir),
         None => std::env::temp_dir().join(format!("psc-worker-{}-{member}", std::process::id())),
     };
     std::fs::create_dir_all(&workdir).map_err(|e| format!("{}: {e}", workdir.display()))?;
     let mut cfg = WorkerConfig::new(member, workdir);
-    if let Some(ms) = parse_u64_opt(args, "--heartbeat-ms")? {
+    if let Some(ms) = parse_num::<u64>(args, "--heartbeat-ms")? {
         cfg.heartbeat_interval = std::time::Duration::from_millis(ms);
     }
-    cfg.faults.frame_drops =
-        u32::try_from(parse_u64_opt(args, "--drop-frames")?.unwrap_or(0)).unwrap_or(u32::MAX);
-    cfg.faults.frame_delay_us = parse_u64_opt(args, "--frame-delay-us")?.unwrap_or(0);
-    cfg.faults.disconnects =
-        u32::try_from(parse_u64_opt(args, "--disconnects")?.unwrap_or(0)).unwrap_or(u32::MAX);
-    cfg.faults.frame_corrupt =
-        u32::try_from(parse_u64_opt(args, "--corrupt-frames")?.unwrap_or(0)).unwrap_or(u32::MAX);
+    cfg.faults.frame_drops = parse_num(args, "--drop-frames")?.unwrap_or(0);
+    cfg.faults.frame_delay_us = parse_num(args, "--frame-delay-us")?.unwrap_or(0);
+    cfg.faults.disconnects = parse_num(args, "--disconnects")?.unwrap_or(0);
+    cfg.faults.frame_corrupt = parse_num(args, "--corrupt-frames")?.unwrap_or(0);
     let summary = run_worker(&addr, &spec, &cfg).map_err(|e| e.to_string())?;
     eprintln!(
         "[psc] member {member} done: {} partial(s) sent, {} rejected, {} reconnect(s) \
@@ -645,13 +635,13 @@ fn cmd_aggregate(args: &[String]) -> Result<(), String> {
     let addr = parse_opt(args, "--listen").ok_or("--listen HOST:PORT is required")?;
     let spec = read_spec_file(args)?;
     let mut cfg = AggregatorConfig::default();
-    if let Some(ms) = parse_u64_opt(args, "--heartbeat-timeout-ms")? {
+    if let Some(ms) = parse_num::<u64>(args, "--heartbeat-timeout-ms")? {
         cfg.heartbeat_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(ms) = parse_u64_opt(args, "--join-timeout-ms")? {
+    if let Some(ms) = parse_num::<u64>(args, "--join-timeout-ms")? {
         cfg.join_timeout = std::time::Duration::from_millis(ms);
     }
-    if let Some(ms) = parse_u64_opt(args, "--straggler-timeout-ms")? {
+    if let Some(ms) = parse_num::<u64>(args, "--straggler-timeout-ms")? {
         cfg.straggler_timeout = std::time::Duration::from_millis(ms);
     }
     let stats_out = parse_opt(args, "--stats");
@@ -781,10 +771,7 @@ fn main() -> ExitCode {
             println!("{}", table.render());
             Ok(())
         }
-        "cpa" => {
-            cmd_cpa(&cfg, rest);
-            Ok(())
-        }
+        "cpa" => cmd_cpa(&cfg, rest),
         "throttle" => {
             println!("{}", run_throttling_study(&cfg).render());
             Ok(())
@@ -793,14 +780,10 @@ fn main() -> ExitCode {
             println!("{}", run_countermeasures(&cfg).render());
             Ok(())
         }
-        "success" => {
-            let max = parse_opt(rest, "--traces")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(cfg.cpa_traces_m2);
+        "success" => parse_usize(rest, "--traces", cfg.cpa_traces_m2).map(|max| {
             let counts = [max / 8, max / 4, max / 2, max];
             println!("{}", run_success_rate(&cfg, &counts, 5).render());
-            Ok(())
-        }
+        }),
         "campaign" | "stream" => cmd_campaign(&cfg, rest),
         "tune" => cmd_tune(rest),
         "resume" => cmd_resume(rest),
